@@ -13,6 +13,20 @@ import (
 // train on.
 func (s *Sharded) RecentWindow(i int) []Rect { return s.snap.Load().ctls[i].recent.snapshot() }
 
+// ShardOf returns the shard that owns p under the serving plan.
+func (s *Sharded) ShardOf(p Point) int { return s.snap.Load().plan.Locate(p) }
+
+// RebuildShard compacts and rebuilds shard i now, as the control loop would.
+func (s *Sharded) RebuildShard(i int) bool { return s.rebuildShard(i) }
+
+// ShardState reports whether shard i serves nothing at all, and whether it
+// serves from its insert buffer alone (no built index) — the two states the
+// kNN exactness tests must be sure they reached.
+func (s *Sharded) ShardState(i int) (empty, bufferOnly bool) {
+	ss := s.snap.Load().shards[i]
+	return ss.empty, ss.idx == nil && len(ss.extra) > 0
+}
+
 // DoctorSnapshotVersion re-encodes a saved sharded snapshot with the header
 // version replaced, preserving the migration record and every shard record
 // — a test hook for asserting that Load refuses future format versions with

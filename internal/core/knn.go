@@ -9,9 +9,8 @@ import (
 // KNN returns the k indexed points nearest to q in Euclidean distance,
 // ordered nearest first. As the paper remarks (§6.3), indexes without a
 // specialized kNN path process such queries as a sequence of range queries;
-// this implementation grows a square search window around q until it holds
-// k points, then issues one final window guaranteed to contain the true
-// neighbours, so its latency profile tracks range-query latency exactly.
+// KNNWindows is that sequence, so kNN latency tracks range-query latency
+// exactly.
 func (z *ZIndex) KNN(q geom.Point, k int) []geom.Point {
 	if k <= 0 || z.count == 0 {
 		return nil
@@ -29,50 +28,79 @@ func (z *ZIndex) KNNAppend(dst []geom.Point, q geom.Point, k int) []geom.Point {
 	if k <= 0 || z.count == 0 {
 		return dst
 	}
-	base := len(dst)
-	if k >= z.count {
+	if k >= z.count && q.Finite() {
+		// Every point qualifies: one leaf walk instead of windows.
+		base := len(dst)
 		dst = z.PointsAppend(dst)
 		geom.SortByDistance(dst[base:], q)
 		return dst
 	}
-	// Initial half-width guess from the average point density: a window
-	// expected to hold ~k points.
-	area := z.bounds.Area()
+	return KNNWindows(dst, z, q, k, KNNHalfWidth(z.bounds, z.count, k), z.bounds)
+}
+
+// RangeSource is what KNNWindows scans: a ZIndex, or a fan-out over the
+// shards of a partitioned index.
+type RangeSource interface {
+	RangeQueryAppend(dst []geom.Point, r geom.Rect) []geom.Point
+}
+
+// KNNHalfWidth is the half-width of a square window expected to hold ~k
+// points at the average density of n points spread over bounds: the first
+// window KNNWindows should try.
+func KNNHalfWidth(bounds geom.Rect, n, k int) float64 {
+	area := bounds.Area()
 	if area <= 0 {
 		area = 1
 	}
-	half := math.Sqrt(area*float64(k)/float64(z.count)) / 2
-	if half <= 0 {
-		half = 1e-9
+	return math.Sqrt(area*float64(k)/float64(n)) / 2
+}
+
+// KNNWindows answers a kNN query as a sequence of range queries against src,
+// appending the k points nearest to q to dst in (distance, X, Y) order. It
+// doubles a square window around q, starting at half-width half, until the
+// window holds k points, then issues one final window guaranteed to contain
+// the true neighbours. bounds must cover everything src serves: a window
+// that contains it and still holds fewer than k points holds them all.
+//
+// The loop terminates on any input. A non-finite q has no neighbours, and
+// neither does a query whose window grows to infinity without covering
+// bounds (non-finite bounds).
+func KNNWindows(dst []geom.Point, src RangeSource, q geom.Point, k int, half float64, bounds geom.Rect) []geom.Point {
+	if k <= 0 || !q.Finite() {
+		return dst
 	}
-	for {
-		window := geom.Rect{MinX: q.X - half, MinY: q.Y - half, MaxX: q.X + half, MaxY: q.Y + half}
-		dst = z.RangeQueryAppend(dst[:base], window)
-		if len(dst)-base >= k {
-			break
-		}
-		if window.ContainsRect(z.bounds) {
-			// The window covers everything; fewer than k points exist.
-			geom.SortByDistance(dst[base:], q)
-			return dst
-		}
-		half *= 2
+	base := len(dst)
+	if !(half > 0) || math.IsInf(half, 1) {
+		half = 1e-9 // half is a hint; a useless one must not decide the answer
 	}
-	// The k-th nearest of the collected points bounds the true k-th
-	// neighbour's distance, but points outside the square window may be
-	// closer than corner-distance candidates inside it: issue one final
-	// query with the certified radius.
-	geom.SortByDistance(dst[base:], q)
-	r := math.Sqrt(geom.DistSq(dst[base+k-1], q))
-	if r > half {
-		window := geom.Rect{MinX: q.X - r, MinY: q.Y - r, MaxX: q.X + r, MaxY: q.Y + r}
-		dst = z.RangeQueryAppend(dst[:base], window)
+	for ; !math.IsInf(half, 1); half *= 2 {
+		window := square(q, half)
+		dst = src.RangeQueryAppend(dst[:base], window)
+		if len(dst)-base < k {
+			if window.ContainsRect(bounds) {
+				// The window covers everything; fewer than k points exist.
+				geom.SortByDistance(dst[base:], q)
+				return dst
+			}
+			continue
+		}
+		// The k-th nearest of the collected points bounds the true k-th
+		// neighbour's distance, but points outside the square window may be
+		// closer than corner-distance candidates inside it: issue one final
+		// query with the certified radius.
 		geom.SortByDistance(dst[base:], q)
+		if r := dist(dst[base+k-1], q); r > half {
+			dst = src.RangeQueryAppend(dst[:base], square(q, r))
+			geom.SortByDistance(dst[base:], q)
+		}
+		return dst[:base+k]
 	}
-	if len(dst)-base > k {
-		dst = dst[:base+k]
-	}
-	return dst
+	return dst[:base]
+}
+
+// square returns the square window of half-width half centred on q.
+func square(q geom.Point, half float64) geom.Rect {
+	return geom.Rect{MinX: q.X - half, MinY: q.Y - half, MaxX: q.X + half, MaxY: q.Y + half}
 }
 
 // dist returns the Euclidean distance between a and b.

@@ -37,32 +37,6 @@ func SortByDistance(pts []Point, q Point) {
 	}
 }
 
-// PushBounded feeds one candidate into a bounded nearest-k set maintained
-// as a max-heap by DistLess to q (the root is the worst of the k best) and
-// returns the updated heap. It appends to h's spare capacity while the set
-// is filling and replaces the root afterwards, so a caller streaming
-// candidates through a reused buffer allocates nothing. Finish with
-// SortByDistance to order the survivors nearest first.
-func PushBounded(h []Point, p Point, k int, q Point) []Point {
-	if len(h) < k {
-		h = append(h, p)
-		for i := len(h) - 1; i > 0; {
-			parent := (i - 1) / 2
-			if !DistLess(h[parent], h[i], q) {
-				break
-			}
-			h[i], h[parent] = h[parent], h[i]
-			i = parent
-		}
-		return h
-	}
-	if DistLess(p, h[0], q) {
-		h[0] = p
-		siftDist(h, 0, len(h), q)
-	}
-	return h
-}
-
 // siftDist restores the max-heap property (by DistLess) for the subtree at
 // root within pts[:end].
 func siftDist(pts []Point, root, end int, q Point) {

@@ -24,6 +24,11 @@ func (p Point) Dominates(q Point) bool {
 	return p.X >= q.X && p.Y >= q.Y && (p.X > q.X || p.Y > q.Y)
 }
 
+// Finite reports whether both coordinates are finite (neither NaN nor ±Inf).
+func (p Point) Finite() bool {
+	return !math.IsInf(p.X, 0) && !math.IsNaN(p.X) && !math.IsInf(p.Y, 0) && !math.IsNaN(p.Y)
+}
+
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%g, %g)", p.X, p.Y) }
 

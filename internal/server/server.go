@@ -564,6 +564,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return view
 		}
 		results := make([]any, len(req.Ops))
+		// The kNN ops of a batch share one pooled working buffer for their
+		// window scans; each answer is copied out at its exact size.
+		var knn *pointBuf
+		defer func() {
+			if knn != nil {
+				knn.release()
+			}
+		}()
 		for i, op := range req.Ops {
 			switch op.Op {
 			case workload.WireRange:
@@ -574,7 +582,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			case workload.WirePoint:
 				results[i] = foundResp{Found: pin().PointQuery(*op.Point)}
 			case workload.WireKNN:
-				pts := pin().KNN(*op.Point, op.K)
+				if knn == nil {
+					knn = pointBufPool.Get().(*pointBuf)
+				}
+				knn.pts = pin().KNNAppend(knn.pts[:0], *op.Point, op.K)
+				pts := append([]wazi.Point(nil), knn.pts...)
 				results[i] = rangeResp{Count: len(pts), Points: pts}
 			case workload.WireInsert:
 				s.b.Insert(*op.Point)

@@ -164,6 +164,15 @@ func TestEndpoints(t *testing.T) {
 			body: fmt.Sprintf(`{"point":%s,"k":-2}`, pointJSON), wantCode: 400,
 		},
 		{
+			name: "knn k at the bound", path: "/v1/knn",
+			body:     fmt.Sprintf(`{"point":%s,"k":%d}`, pointJSON, workload.MaxWireK),
+			wantCode: 200,
+		},
+		{
+			name: "knn k over the bound", path: "/v1/knn",
+			body: fmt.Sprintf(`{"point":%s,"k":%d}`, pointJSON, workload.MaxWireK+1), wantCode: 400,
+		},
+		{
 			name: "insert missing point", path: "/v1/insert",
 			body: `{}`, wantCode: 400,
 		},
@@ -197,6 +206,31 @@ func TestEndpoints(t *testing.T) {
 		{
 			name: "batch invalid op operand", path: "/v1/batch",
 			body: `{"ops":[{"op":"knn","point":{"X":0.5,"Y":0.5},"k":0}]}`, wantCode: 400,
+		},
+		{
+			name: "batch knn k over the bound", path: "/v1/batch",
+			body: fmt.Sprintf(`{"ops":[{"op":"knn","point":{"X":0.5,"Y":0.5},"k":%d}]}`, workload.MaxWireK+1), wantCode: 400,
+		},
+		{
+			name: "batch knn", path: "/v1/batch",
+			body:     `{"ops":[{"op":"knn","point":{"X":0.5,"Y":0.5},"k":3},{"op":"knn","point":{"X":0.1,"Y":0.9},"k":7}]}`,
+			wantCode: 200,
+			check: func(t *testing.T, v map[string]any) {
+				// Both answers share one scratch buffer while they are
+				// computed; each must come back whole and its own.
+				for i, want := range []wazi.Point{{X: 0.5, Y: 0.5}, {X: 0.1, Y: 0.9}} {
+					res := v["results"].([]any)[i].(map[string]any)
+					k := []int{3, 7}[i]
+					pts := res["points"].([]any)
+					if int(res["count"].(float64)) != k || len(pts) != k {
+						t.Fatalf("result %d: count %v, %d points, want %d", i, res["count"], len(pts), k)
+					}
+					first := pts[0].(map[string]any)
+					if nn := idx.KNN(want, 1)[0]; first["X"] != nn.X || first["Y"] != nn.Y {
+						t.Errorf("result %d leads with %v, nearest is %v", i, first, nn)
+					}
+				}
+			},
 		},
 	}
 	for _, tt := range tests {

@@ -24,6 +24,13 @@ const (
 	WireDelete = "delete"
 )
 
+// MaxWireK is the largest k a kNN op may ask for. An answer of k points
+// sorts at least k candidates, so an unbounded k lets one request sort the
+// whole dataset; the bound is the capacity (1<<16 points) up to which the
+// index's query arenas and the server's response buffers are recycled, so
+// no accepted kNN outgrows a pooled buffer.
+const MaxWireK = 1 << 16
+
 // WireOp is one operation in wire form. Exactly the fields implied by Op
 // are set; the rest are omitted from the JSON.
 type WireOp struct {
@@ -50,7 +57,8 @@ func ToWire(ops []Op) []WireOp {
 }
 
 // Validate checks that the op names a known kind and carries exactly the
-// operands that kind needs, with finite coordinates and a valid rectangle.
+// operands that kind needs, with finite coordinates, a valid rectangle and a
+// k within [1, MaxWireK].
 // It returns nil for replayable ops and a client-actionable error otherwise.
 func (w WireOp) Validate() error {
 	switch w.Op {
@@ -71,8 +79,8 @@ func (w WireOp) Validate() error {
 		if err := validPoint(*w.Point); err != nil {
 			return err
 		}
-		if w.K <= 0 {
-			return fmt.Errorf("op %q requires k >= 1, got %d", w.Op, w.K)
+		if w.K <= 0 || w.K > MaxWireK {
+			return fmt.Errorf("op %q requires 1 <= k <= %d, got %d", w.Op, MaxWireK, w.K)
 		}
 		return nil
 	case "":
@@ -95,7 +103,7 @@ func validRect(r geom.Rect) error {
 }
 
 func validPoint(p geom.Point) error {
-	if math.IsNaN(p.X) || math.IsNaN(p.Y) || math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) {
+	if !p.Finite() {
 		return fmt.Errorf("point has non-finite coordinate")
 	}
 	return nil

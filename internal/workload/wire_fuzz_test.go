@@ -27,6 +27,8 @@ func FuzzWireDecode(f *testing.F) {
 	seed(WireOp{Op: WireDelete, Point: &geom.Point{X: 0.2, Y: 0.9}})
 	f.Add([]byte(`{"op":"range"}`))
 	f.Add([]byte(`{"op":"knn","point":{"x":0,"y":0},"k":-1}`))
+	seed(WireOp{Op: WireKNN, Point: &geom.Point{X: 0.5, Y: 0.5}, K: MaxWireK})
+	seed(WireOp{Op: WireKNN, Point: &geom.Point{X: 0.5, Y: 0.5}, K: MaxWireK + 1})
 	f.Add([]byte(`{"op":"range","rect":{"min_x":1e999}}`))
 	f.Add([]byte(`[{"op":"insert","point":{"x":1,"y":2}}]`))
 
@@ -44,6 +46,9 @@ func FuzzWireDecode(f *testing.F) {
 				case WirePoint, WireInsert, WireDelete, WireKNN:
 					if op.Point == nil {
 						t.Fatalf("validated %q without a point", op.Op)
+					}
+					if op.Op == WireKNN && (op.K < 1 || op.K > MaxWireK) {
+						t.Fatalf("validated a kNN with k = %d", op.K)
 					}
 				}
 			}

@@ -6,11 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"github.com/wazi-index/wazi/internal/core"
 	"github.com/wazi-index/wazi/internal/geom"
 	"github.com/wazi-index/wazi/internal/obs"
 	"github.com/wazi-index/wazi/internal/shard"
@@ -633,35 +633,9 @@ func (s *Sharded) rangeAppendFromSnap(dst []Point, snap *shardedSnapshot, r Rect
 	a := s.getArena(snap, tr)
 	defer a.release()
 	a.rectTargets(r)
+	a.observeWorkload()
 	s.obs.observeFanout(len(snap.shards), len(a.targets))
-	n := len(a.targets)
-	if n == 0 {
-		return dst
-	}
-	if n == 1 || s.pool.Inline() {
-		// No parallelism to harvest: scan straight into dst, skipping the
-		// per-target buffers and the merge copy.
-		for _, si := range a.targets {
-			t0, live := s.scanStart(tr)
-			before := len(dst)
-			dst = shardRange(snap.shards[si], r, dst)
-			if live {
-				s.endScan(tr, si, t0, len(dst)-before)
-			}
-		}
-		return dst
-	}
-	a.ensure(n)
-	s.pool.Run(n, a.rangeFn)
-	total := 0
-	for _, buf := range a.bufs {
-		total += len(buf)
-	}
-	dst = slices.Grow(dst, total)
-	for _, buf := range a.bufs {
-		dst = append(dst, buf...)
-	}
-	return dst
+	return a.scan(dst)
 }
 
 // RangeCount returns the number of points inside r without materializing
@@ -679,6 +653,7 @@ func (s *Sharded) countFromSnap(snap *shardedSnapshot, r Rect, tr *obs.QueryTrac
 	a := s.getArena(snap, tr)
 	defer a.release()
 	a.rectTargets(r)
+	a.observeWorkload()
 	s.obs.observeFanout(len(snap.shards), len(a.targets))
 	n := len(a.targets)
 	total := 0
@@ -840,10 +815,14 @@ func pointRect(p Point) Rect {
 	return Rect{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y}
 }
 
-// KNN returns the k points nearest to q, closest first: per-shard candidate
-// sets are gathered by parallel fan-out and merged through a global
-// bounded max-heap. Equidistant neighbours are ordered by (distance, X, Y),
-// so the result is deterministic across shard layouts and backends.
+// KNN returns the k points nearest to q, closest first. As on Index, the
+// query runs as a sequence of window range queries (§6.3 of the paper): a
+// square window around q grows until it holds k points, each window scanning
+// only the shards the range path would — those whose bounds and occupancy
+// bitmap it overlaps — and one final window of the certified radius settles
+// the answer. Equidistant neighbours are ordered by (distance, X, Y), so the
+// result is deterministic across shard layouts and backends. A non-finite q
+// has no neighbours.
 func (s *Sharded) KNN(q Point, k int) []Point {
 	s.knnQs.Add(1)
 	return s.knnAppendFromSnap(nil, s.snap.Load(), q, k, nil)
@@ -862,7 +841,8 @@ func (s *Sharded) knnFromSnap(snap *shardedSnapshot, q Point, k int, tr *obs.Que
 }
 
 func (s *Sharded) knnAppendFromSnap(dst []Point, snap *shardedSnapshot, q Point, k int, tr *obs.QueryTrace) []Point {
-	if k <= 0 {
+	bounds, ok := snap.bounds()
+	if k <= 0 || !ok {
 		return dst
 	}
 	if done := s.traceIO(snap, tr); done != nil {
@@ -870,74 +850,40 @@ func (s *Sharded) knnAppendFromSnap(dst []Point, snap *shardedSnapshot, q Point,
 	}
 	a := s.getArena(snap, tr)
 	defer a.release()
-	a.liveTargets()
+	dst = core.KNNWindows(dst, a, q, k, snap.knnHalfWidth(q, k), bounds)
+	// Windows only grow, so the last one scanned targeted every shard the
+	// query touched.
 	s.obs.observeFanout(len(snap.shards), len(a.targets))
-	n := len(a.targets)
-	if n == 0 {
-		return dst
-	}
-	a.q, a.k = q, k
-	a.ensure(n)
-	if n == 1 || s.pool.Inline() {
-		for ti := range a.targets {
-			a.knnFn(ti)
-		}
-	} else {
-		s.pool.Run(n, a.knnFn)
-	}
-	// Merge through a bounded max-heap on the arena's reusable buffer: the
-	// root is the worst of the k best by the (distance, X, Y) total order,
-	// so ties at the cut line resolve identically no matter which shard
-	// produced them.
-	h := a.heap[:0]
-	for _, cs := range a.bufs {
-		for _, p := range cs {
-			h = geom.PushBounded(h, p, k, q)
-		}
-	}
-	a.heap = h
-	geom.SortByDistance(h, q)
-	return append(dst, h...)
-}
-
-// shardKNNAppend appends one shard's k nearest candidates to q onto dst
-// (the shard's true top-k all appear, ordered by (distance, X, Y) in the
-// indexed part before insert-buffer replacement).
-func shardKNNAppend(dst []Point, ss *shardSnap, q Point, k int) []Point {
-	base := len(dst)
-	if ss.idx != nil {
-		// Tombstoned points may occupy top spots; over-fetch so k live
-		// candidates survive the filter. KNNAppend returns them sorted, so
-		// truncation keeps the nearest k.
-		dst = ss.idx.KNNAppend(dst, q, k+ss.deadN)
-		if ss.deadN > 0 {
-			dst = filterDead(dst, base, ss.dead)
-		}
-		if len(dst)-base > k {
-			dst = dst[:base+k]
-		}
-	}
-	for _, p := range ss.extra {
-		if len(dst)-base < k {
-			dst = append(dst, p)
-			continue
-		}
-		// Replace the current worst if p precedes it in the (distance, X, Y)
-		// order.
-		wi := base
-		for i := base + 1; i < len(dst); i++ {
-			if geom.DistLess(dst[wi], dst[i], q) {
-				wi = i
-			}
-		}
-		if geom.DistLess(p, dst[wi], q) {
-			dst[wi] = p
-		}
-	}
 	return dst
 }
 
-func distSq(a, b Point) float64 { return geom.DistSq(a, b) }
+// knnHalfWidth is the first kNN window's half-width: the density guess of
+// the index of the shard that owns q, or of all shard indexes together when
+// that shard serves from its insert buffer alone. Only built indexes count —
+// immutable until a rebuild replaces them — so interleaved writes do not
+// move the windows a query stream scans.
+func (snap *shardedSnapshot) knnHalfWidth(q Point, k int) float64 {
+	if idx := snap.shards[snap.plan.Locate(q)].idx; idx != nil {
+		return core.KNNHalfWidth(idx.Bounds(), idx.Len(), k)
+	}
+	var all Rect
+	n := 0
+	for _, ss := range snap.shards {
+		if ss.idx == nil {
+			continue
+		}
+		if n == 0 {
+			all = ss.idx.Bounds()
+		} else {
+			all = all.Union(ss.idx.Bounds())
+		}
+		n += ss.idx.Len()
+	}
+	if n == 0 {
+		return 0 // buffers only: KNNWindows starts from its floor
+	}
+	return core.KNNHalfWidth(all, n, k)
+}
 
 // ---------------------------------------------------------------- writes
 
@@ -1304,19 +1250,23 @@ func (s *Sharded) Len() int {
 
 // Bounds returns the minimum bounding rectangle of all shards.
 func (s *Sharded) Bounds() Rect {
-	var out Rect
-	first := true
-	for _, ss := range s.snap.Load().shards {
+	out, _ := s.snap.Load().bounds()
+	return out
+}
+
+// bounds returns the MBR of every non-empty shard, and whether there is one.
+func (snap *shardedSnapshot) bounds() (out Rect, ok bool) {
+	for _, ss := range snap.shards {
 		if ss.empty {
 			continue
 		}
-		if first {
-			out, first = ss.bounds, false
+		if !ok {
+			out, ok = ss.bounds, true
 		} else {
 			out = out.Union(ss.bounds)
 		}
 	}
-	return out
+	return out, ok
 }
 
 // Bytes returns the approximate in-memory footprint across all shards.

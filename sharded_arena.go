@@ -1,6 +1,7 @@
 package wazi
 
 import (
+	"slices"
 	"sync"
 
 	"github.com/wazi-index/wazi/internal/obs"
@@ -14,11 +15,11 @@ import (
 const maxArenaPoints = 1 << 16
 
 // queryArena is the reusable state of one fan-out read: the target list, one
-// scratch buffer per target for parallel workers to append into, the count
-// slots, and the kNN merge heap. Arenas are pooled, and the per-query worker
-// closures (rangeFn, countFn, knnFn) are bound once when the arena is
-// created — a pooled arena re-pointed at a new query therefore allocates
-// nothing, which is the property the kernel-allocs experiment ratchets.
+// scratch buffer per target for parallel workers to append into, and the
+// count slots. Arenas are pooled, and the per-query worker closures (rangeFn,
+// countFn) are bound once when the arena is created — a pooled arena
+// re-pointed at a new query therefore allocates nothing, which is the
+// property the kernel-allocs experiment ratchets.
 //
 // An arena is owned by exactly one query from get to release. During a
 // pool.Run fan-out its slices are shared across workers, but each worker
@@ -28,18 +29,14 @@ type queryArena struct {
 	s    *Sharded
 	snap *shardedSnapshot
 	r    Rect
-	q    Point
-	k    int
 	tr   *obs.QueryTrace
 
 	targets []int
 	bufs    [][]Point
 	counts  []int
-	heap    []Point
 
 	rangeFn func(int)
 	countFn func(int)
-	knnFn   func(int)
 }
 
 var arenaPool = sync.Pool{New: func() any {
@@ -61,15 +58,6 @@ var arenaPool = sync.Pool{New: func() any {
 			a.s.endScan(a.tr, si, t0, n)
 		}
 		a.counts[ti] = n
-	}
-	a.knnFn = func(ti int) {
-		si := a.targets[ti]
-		t0, live := a.s.scanStart(a.tr)
-		dst := shardKNNAppend(a.bufs[ti][:0], a.snap.shards[si], a.q, a.k)
-		if live {
-			a.s.endScan(a.tr, si, t0, len(dst))
-		}
-		a.bufs[ti] = dst
 	}
 	return a
 }}
@@ -95,11 +83,6 @@ func (a *queryArena) release() {
 			bufs[i] = bufs[i][:0]
 		}
 	}
-	if cap(a.heap) > maxArenaPoints {
-		a.heap = nil
-	} else {
-		a.heap = a.heap[:0]
-	}
 	arenaPool.Put(a)
 }
 
@@ -118,33 +101,71 @@ func (a *queryArena) ensure(n int) {
 	a.counts = a.counts[:n]
 }
 
-// rectTargets fills a.targets with the shards that can hold points inside r
-// — MBR intersection refined by the occupancy bitmaps, which prune the many
-// shards whose jagged Z-curve territory merely brushes r — and feeds the
-// query to each target's drift advisor, recent-query window, and load
-// counter.
+// rectTargets points the arena at r and sets a.targets to the shards that
+// can hold points inside it — MBR intersection refined by the occupancy
+// bitmaps, which prune the many shards whose jagged Z-curve territory merely
+// brushes r.
 func (a *queryArena) rectTargets(r Rect) {
 	a.r = r
+	a.targets = a.targets[:0]
 	for i, ss := range a.snap.shards {
-		if !ss.mayContain(r) {
-			continue
-		}
-		a.targets = append(a.targets, i)
-		ctl := a.snap.ctls[i]
-		ctl.load.Add(1)
-		if adv := ctl.advisor.Load(); adv != nil {
-			adv.Observe(r)
-		}
-		ctl.recent.add(r)
-	}
-}
-
-// liveTargets fills a.targets with every shard serving at least one point —
-// the kNN fan-out set, which cannot be pruned by rectangle.
-func (a *queryArena) liveTargets() {
-	for i, ss := range a.snap.shards {
-		if !ss.empty && ss.live() > 0 {
+		if ss.mayContain(r) {
 			a.targets = append(a.targets, i)
 		}
 	}
+}
+
+// observeWorkload feeds the arena's rectangle to each target's drift advisor,
+// recent-query window, and load counter. Range queries and counts are the
+// workload the layout is learned from; the windows a kNN query probes with
+// are not, and skip this.
+func (a *queryArena) observeWorkload() {
+	for _, i := range a.targets {
+		ctl := a.snap.ctls[i]
+		ctl.load.Add(1)
+		if adv := ctl.advisor.Load(); adv != nil {
+			adv.Observe(a.r)
+		}
+		ctl.recent.add(a.r)
+	}
+}
+
+// scan appends the points of every target inside a.r to dst: inline when
+// there is no parallelism to harvest, else one pool worker per target.
+func (a *queryArena) scan(dst []Point) []Point {
+	n := len(a.targets)
+	if n == 0 {
+		return dst
+	}
+	if n == 1 || a.s.pool.Inline() {
+		// Scan straight into dst, skipping the per-target buffers and the
+		// merge copy.
+		for _, si := range a.targets {
+			t0, live := a.s.scanStart(a.tr)
+			before := len(dst)
+			dst = shardRange(a.snap.shards[si], a.r, dst)
+			if live {
+				a.s.endScan(a.tr, si, t0, len(dst)-before)
+			}
+		}
+		return dst
+	}
+	a.ensure(n)
+	a.s.pool.Run(n, a.rangeFn)
+	total := 0
+	for _, buf := range a.bufs {
+		total += len(buf)
+	}
+	dst = slices.Grow(dst, total)
+	for _, buf := range a.bufs {
+		dst = append(dst, buf...)
+	}
+	return dst
+}
+
+// RangeQueryAppend makes the arena the core.RangeSource of a sharded kNN
+// query: each window is pruned and scanned exactly like a range query.
+func (a *queryArena) RangeQueryAppend(dst []Point, r Rect) []Point {
+	a.rectTargets(r)
+	return a.scan(dst)
 }

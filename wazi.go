@@ -228,7 +228,7 @@ func (x *Index) PointQuery(p Point) bool { return x.z.PointQuery(p) }
 
 // KNN returns the k points nearest to q, closest first, by decomposing the
 // query into range queries (§6.3 of the paper). Equidistant neighbours are
-// ordered by (distance, X, Y).
+// ordered by (distance, X, Y). A non-finite q has no neighbours.
 func (x *Index) KNN(q Point, k int) []Point { return x.z.KNN(q, k) }
 
 // KNNAppend appends the k points nearest to q to dst, closest first,

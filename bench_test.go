@@ -22,6 +22,7 @@ import (
 	"github.com/wazi-index/wazi/internal/bench"
 	"github.com/wazi-index/wazi/internal/core"
 	"github.com/wazi-index/wazi/internal/dataset"
+	"github.com/wazi-index/wazi/internal/density"
 	"github.com/wazi-index/wazi/internal/geom"
 	"github.com/wazi-index/wazi/internal/index"
 	"github.com/wazi-index/wazi/internal/workload"
@@ -334,6 +335,33 @@ func BenchmarkAblationEstimator(b *testing.B) {
 			benchRange(b, z, qs[half:])
 			b.ReportMetric(build.Seconds(), "build-sec")
 		})
+	}
+}
+
+// BenchmarkForestBuild times the RFDE forest alone, the model training step
+// of BuildWaZI, at the default forest options over the benchmark's fixture.
+func BenchmarkForestBuild(b *testing.B) {
+	pts, _ := workload.BenchFixture()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		forestSink = density.NewForest(pts, density.DefaultOptions())
+	}
+}
+
+var forestSink *density.Forest
+
+// BenchmarkBuildWaZI times the whole workload-aware build (forest plus
+// greedy descent) at default options: what setup_s and every shard rebuild
+// pay.
+func BenchmarkBuildWaZI(b *testing.B) {
+	pts, train := workload.BenchFixture()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.BuildWaZI(pts, train, core.Options{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -27,7 +27,7 @@ func BuildBase(pts []geom.Point, opts Options) (*ZIndex, error) {
 	copy(own, pts)
 	z := &ZIndex{bounds: geom.RectFromPoints(own), count: len(own), opts: opts}
 	z.adoptStore(st)
-	z.root = buildMedian(st, own, z.bounds, opts.LeafSize, opts.MaxDepth)
+	z.root = buildMedian(st, own, z.bounds, opts.LeafSize, opts.MaxDepth, make([]float64, len(own)))
 	z.rebuildLeafList()
 	if !opts.DisableSkipping {
 		z.rebuildLookahead()
@@ -36,13 +36,14 @@ func BuildBase(pts []geom.Point, opts Options) (*ZIndex, error) {
 }
 
 // buildMedian recursively builds the median/abcd tree of the base variant.
-func buildMedian(st storage.PageStore, pts []geom.Point, cell geom.Rect, leafSize, depthLeft int) *node {
+// buf is medianSplit's scratch.
+func buildMedian(st storage.PageStore, pts []geom.Point, cell geom.Rect, leafSize, depthLeft int, buf []float64) *node {
 	n := &node{cell: cell}
 	if len(pts) <= leafSize || depthLeft == 0 {
 		n.leaf = newLeaf(st, cell, pts)
 		return n
 	}
-	split := geom.Point{X: medianX(pts), Y: medianY(pts)}
+	split := medianSplit(pts, buf)
 	parts := partition(pts, split)
 	if degenerate(parts, len(pts)) {
 		n.leaf = newLeaf(st, cell, pts)
@@ -56,7 +57,7 @@ func buildMedian(st storage.PageStore, pts []geom.Point, cell geom.Rect, leafSiz
 			continue
 		}
 		pos := n.order.Pos(q)
-		n.child[pos] = buildMedian(st, sub, geom.QuadrantRect(cell, split, q), leafSize, depthLeft-1)
+		n.child[pos] = buildMedian(st, sub, geom.QuadrantRect(cell, split, q), leafSize, depthLeft-1, buf)
 	}
 	return n
 }
@@ -101,22 +102,19 @@ func degenerate(parts [4][]geom.Point, total int) bool {
 	return false
 }
 
-// medianX returns the median x-coordinate of pts (upper median).
-func medianX(pts []geom.Point) float64 {
-	vals := make([]float64, len(pts))
+// medianSplit returns the split point at the upper median of pts on each
+// axis. buf is the selection's scratch, at least len(pts) long; builders
+// size one at the root and pass it down, since every cell of a build asks.
+func medianSplit(pts []geom.Point, buf []float64) geom.Point {
+	buf = buf[:len(pts)]
 	for i, p := range pts {
-		vals[i] = p.X
+		buf[i] = p.X
 	}
-	return quickMedian(vals)
-}
-
-// medianY returns the median y-coordinate of pts (upper median).
-func medianY(pts []geom.Point) float64 {
-	vals := make([]float64, len(pts))
+	x := quickMedian(buf)
 	for i, p := range pts {
-		vals[i] = p.Y
+		buf[i] = p.Y
 	}
-	return quickMedian(vals)
+	return geom.Point{X: x, Y: quickMedian(buf)}
 }
 
 // quickMedian selects the element at index len/2 in expected linear time.

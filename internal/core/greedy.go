@@ -37,7 +37,7 @@ func BuildWaZI(pts []geom.Point, queries []geom.Rect, opts Options) (*ZIndex, er
 		workloadAware: true,
 	}
 	z.adoptStore(st)
-	b := &greedyBuilder{opts: opts, st: st, rng: rand.New(rand.NewSource(opts.Seed))}
+	b := &greedyBuilder{opts: opts, st: st, rng: rand.New(rand.NewSource(opts.Seed)), medianBuf: make([]float64, len(own))}
 	switch {
 	case opts.ExactCounts:
 		b.est = nil // per-cell exact counting
@@ -68,6 +68,8 @@ type greedyBuilder struct {
 	st   storage.PageStore
 	rng  *rand.Rand
 	est  density.Estimator // nil means exact counting over the cell's points
+	// medianBuf is medianSplit's scratch, as long as the root cell.
+	medianBuf []float64
 }
 
 // build implements Algorithm 3 for one cell.
@@ -84,7 +86,7 @@ func (b *greedyBuilder) build(pts []geom.Point, queries []geom.Rect, cell geom.R
 		// The chosen split puts every point on one side. Retry with the
 		// median configuration before giving up; the median always splits
 		// non-coincident point sets.
-		split = geom.Point{X: medianX(pts), Y: medianY(pts)}
+		split = medianSplit(pts, b.medianBuf)
 		order = OrderABCD
 		parts = partition(pts, split)
 		if degenerate(parts, len(pts)) {
@@ -111,7 +113,7 @@ func (b *greedyBuilder) build(pts []geom.Point, queries []geom.Rect, cell geom.R
 // no workload queries, it falls back to the balanced median/abcd base
 // configuration.
 func (b *greedyBuilder) chooseConfig(pts []geom.Point, queries []geom.Rect, cell geom.Rect) (geom.Point, Ordering) {
-	median := geom.Point{X: medianX(pts), Y: medianY(pts)}
+	median := medianSplit(pts, b.medianBuf)
 	if len(queries) == 0 {
 		// Workload exhausted in this subtree: no signal to optimize for.
 		return median, OrderABCD

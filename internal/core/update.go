@@ -67,7 +67,7 @@ func (z *ZIndex) Insert(p geom.Point) {
 // median split and abcd ordering, distributing its page across up to four
 // new leaves.
 func (z *ZIndex) splitLeaf(n *node, pts []geom.Point) bool {
-	split := geom.Point{X: medianX(pts), Y: medianY(pts)}
+	split := medianSplit(pts, make([]float64, len(pts)))
 	parts := partition(pts, split) // copies pts, so freeing the page below is safe
 	if degenerate(parts, len(pts)) {
 		// Coincident points: leave the oversized page in place; a split

@@ -37,9 +37,6 @@ func TestTotalMatchesPointCount(t *testing.T) {
 	if f.Total() != 1000 {
 		t.Fatalf("Total = %v, want 1000", f.Total())
 	}
-	if f.Len() != 1000 {
-		t.Fatalf("Len = %v, want 1000", f.Len())
-	}
 }
 
 func TestFullCoverIsExact(t *testing.T) {
@@ -72,7 +69,7 @@ func TestEstimateAccuracy(t *testing.T) {
 		"clustered": clusteredPoints(20000, 5),
 	} {
 		f := NewForest(pts, Options{Trees: 8, LeafSize: 32, Seed: 6})
-		exact := NewExactCounter(pts, nil)
+		exact := NewExactCounter(pts)
 		rng := rand.New(rand.NewSource(7))
 		var sumRelErr float64
 		trials := 100
@@ -94,39 +91,6 @@ func TestEstimateAccuracy(t *testing.T) {
 			t.Errorf("%s: average relative error %.3f exceeds 0.30", name, avg)
 		}
 	}
-}
-
-func TestWeightedForest(t *testing.T) {
-	pts := uniformPoints(2000, 8)
-	weights := make([]float64, len(pts))
-	var total float64
-	for i := range weights {
-		// Weight points in the left half 10x heavier.
-		if pts[i].X < 0.5 {
-			weights[i] = 10
-		} else {
-			weights[i] = 1
-		}
-		total += weights[i]
-	}
-	f := NewWeightedForest(pts, weights, Options{Trees: 8, LeafSize: 32, Seed: 9})
-	if math.Abs(f.Total()-total) > 1e-6 {
-		t.Fatalf("Total = %v, want %v", f.Total(), total)
-	}
-	left := f.Estimate(geom.Rect{MinX: 0, MinY: 0, MaxX: 0.5, MaxY: 1})
-	right := f.Estimate(geom.Rect{MinX: 0.5, MinY: 0, MaxX: 1, MaxY: 1})
-	if left < 5*right {
-		t.Errorf("weighted estimate should strongly favor the left half: left=%v right=%v", left, right)
-	}
-}
-
-func TestWeightedPanicsOnShortWeights(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for short weights slice")
-		}
-	}()
-	NewWeightedForest(uniformPoints(10, 1), []float64{1, 2}, DefaultOptions())
 }
 
 func TestEmptyForest(t *testing.T) {
@@ -168,26 +132,22 @@ func TestCollinearData(t *testing.T) {
 
 func TestExactCounter(t *testing.T) {
 	pts := []geom.Point{{X: 0.1, Y: 0.1}, {X: 0.9, Y: 0.9}, {X: 0.5, Y: 0.5}}
-	c := NewExactCounter(pts, nil)
+	c := NewExactCounter(pts)
 	if c.Total() != 3 {
 		t.Errorf("Total = %v", c.Total())
 	}
 	if got := c.Estimate(geom.Rect{MinX: 0, MinY: 0, MaxX: 0.6, MaxY: 0.6}); got != 2 {
 		t.Errorf("Estimate = %v, want 2", got)
 	}
-	w := NewExactCounter(pts, []float64{1, 2, 4})
-	if w.Total() != 7 {
-		t.Errorf("weighted Total = %v", w.Total())
-	}
-	if got := w.Estimate(geom.Rect{MinX: 0.4, MinY: 0.4, MaxX: 1, MaxY: 1}); got != 6 {
-		t.Errorf("weighted Estimate = %v, want 6", got)
-	}
 }
 
+// 1000 distinct points halve into 16 leaves of 62 or 63 points under 15
+// internal nodes, in each of the four default trees; a node is a rectangle
+// and two int32s.
 func TestBytesNonZero(t *testing.T) {
 	f := NewForest(uniformPoints(1000, 12), DefaultOptions())
-	if f.Bytes() <= 0 {
-		t.Error("forest Bytes should be positive")
+	if got, want := f.Bytes(), int64(4*31*40); got != want {
+		t.Errorf("forest Bytes = %d, want %d", got, want)
 	}
 }
 

@@ -92,6 +92,17 @@ func Skewed(r dataset.Region, n int, selectivity float64, seed int64) []geom.Rec
 	return FromCenters(Checkins(r, n, seed), selectivity, UnitSquare)
 }
 
+// BenchFixture returns the data set and training workload that wazibench
+// builds every index over: 128 000 CaliNev points from seed 1 and 2 000
+// skewed queries from seed 2. The benchmark keeps its own copy of these
+// numbers (region, trainSel, fixtureSeed in benchmark/inputs.go; sizes in
+// benchmark/workloads.go); a change there must be repeated here, or the build
+// benchmarks and core.TestLayoutIdentity stop measuring what it runs.
+func BenchFixture() ([]geom.Point, []geom.Rect) {
+	return dataset.Generate(dataset.CaliNev, 128_000, 1),
+		Skewed(dataset.CaliNev, 2_000, 0.0256e-2, 2)
+}
+
 // Uniform generates n range queries of the given selectivity with centers
 // drawn uniformly from the domain — the uniform drift target of Figure 12.
 func Uniform(n int, selectivity float64, seed int64) []geom.Rect {

@@ -133,19 +133,12 @@ func serverMetricsTable(before, after *metricsSnap) harness.Table {
 	if dHits+dMiss > 0 {
 		hitRate = 100 * dHits / (dHits + dMiss)
 	}
-	dPasses := after.value("wazi_coalesced_passes_total") - before.value("wazi_coalesced_passes_total")
-	dReads := after.value("wazi_coalesced_reads_total") - before.value("wazi_coalesced_reads_total")
-	readsPerPass := 0.0
-	if dPasses > 0 {
-		readsPerPass = dReads / dPasses
-	}
 
 	rows := [][]string{
 		{"http requests (window)", fmt.Sprintf("%d", reqs)},
 		{"http p50 (ms)", fmt.Sprintf("%.3f", p50*1e3)},
 		{"http p95 (ms)", fmt.Sprintf("%.3f", p95*1e3)},
 		{"shed (429s)", fmt.Sprintf("%.0f", after.value("wazi_http_shed_total")-before.value("wazi_http_shed_total"))},
-		{"coalesced reads/pass", fmt.Sprintf("%.2f", readsPerPass)},
 		{"cache hit rate (%)", fmt.Sprintf("%.1f", hitRate)},
 		{"gc pause p95 (ms)", fmt.Sprintf("%.3f", gcP95*1e3)},
 		{"gc pause total (ms)", fmt.Sprintf("%.3f", (after.histSum("wazi_go_gc_pause_seconds")-before.histSum("wazi_go_gc_pause_seconds"))*1e3)},

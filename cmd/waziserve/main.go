@@ -1,9 +1,8 @@
 // Command waziserve serves a WaZI Sharded index over HTTP — the network
 // face of the build-offline/serve-online deployment model. It builds (or
-// warm-starts) the index, exposes the /v1/* endpoints with request
-// coalescing and admission control, and on SIGTERM/SIGINT drains in-flight
-// requests and writes a snapshot so the next start skips construction
-// entirely.
+// warm-starts) the index, exposes the /v1/* endpoints behind admission
+// control, and on SIGTERM/SIGINT drains in-flight requests and writes a
+// snapshot so the next start skips construction entirely.
 //
 // Usage:
 //

@@ -8,32 +8,29 @@ import (
 	"github.com/wazi-index/wazi/internal/dataset"
 )
 
-// TestObsOverheadWithinBounds runs the obs-overhead experiment at smoke
-// scale and asserts the instrumented hot path stays within a loose 1.5x of
-// the uninstrumented one. The acceptance target is 1.05x; the gate here is
-// deliberately slack because CI timing noise at toy scale dwarfs the real
-// instrument cost, which the bench report records for the BENCH trajectory.
-func TestObsOverheadWithinBounds(t *testing.T) {
+// TestObsOverheadReportShape runs the obs-overhead experiment at smoke scale
+// and checks the shape of its report: one table with a parseable, positive
+// "p95 ratio" row. It does not gate the ratio: a quotient of two p95s over
+// 440 ops moves more with the machine than with the instruments. The
+// measured overhead is wazibench's obs.overhead_x (alternating loops; see
+// docs/OBSERVABILITY.md).
+func TestObsOverheadReportShape(t *testing.T) {
 	cfg := Config{Scale: 20_000, Queries: 400, Regions: []dataset.Region{dataset.NewYork}}
 	tables := ObsOverhead(cfg)
 	if len(tables) != 1 {
 		t.Fatalf("got %d tables, want 1", len(tables))
 	}
-	var ratio float64
 	found := false
 	for _, row := range tables[0].Rows {
 		if strings.HasPrefix(row[0], "p95 ratio") {
 			v, err := strconv.ParseFloat(row[2], 64)
-			if err != nil {
-				t.Fatalf("unparsable ratio %q: %v", row[2], err)
+			if err != nil || v <= 0 {
+				t.Fatalf("p95 ratio %q is not a positive number (%v)", row[2], err)
 			}
-			ratio, found = v, true
+			found = true
 		}
 	}
 	if !found {
 		t.Fatalf("no p95 ratio row in %+v", tables[0].Rows)
-	}
-	if ratio <= 0 || ratio > 1.5 {
-		t.Fatalf("instrumented/uninstrumented p95 ratio = %.3f, want (0, 1.5]", ratio)
 	}
 }

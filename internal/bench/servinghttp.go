@@ -42,7 +42,6 @@ func ServingHTTP(cfg Config) []Table {
 	defer idx.Close()
 
 	srv := server.New(server.Sharded(idx), server.Config{})
-	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

@@ -9,21 +9,20 @@ import (
 // Span is one timed step of a query's execution, offset-stamped relative to
 // the trace start so a snapshot is self-contained.
 type Span struct {
-	// Name identifies the layer and step, e.g. "admission", "batcher",
-	// "shard_scan", "pagestore".
+	// Name identifies the layer and step, e.g. "admission", "shard_scan",
+	// "pagestore".
 	Name string `json:"name"`
 	// StartNS is the span's start offset from the trace start.
 	StartNS int64 `json:"start_ns"`
 	// DurNS is the span's duration.
 	DurNS int64 `json:"dur_ns"`
-	// Attrs carries small integer attributes (shard id, batch size, pages
-	// read, ...).
+	// Attrs carries small integer attributes (shard id, pages read, ...).
 	Attrs map[string]int64 `json:"attrs,omitempty"`
 }
 
 // QueryTrace records timed spans as one request flows through the serving
-// stack: server admission → read-coalescing batcher → Sharded fan-out →
-// per-shard index scan → page-store reads. It is carried via
+// stack: server admission → Sharded fan-out → per-shard index scan →
+// page-store reads. It is carried via
 // context.Context (ContextWithTrace/FromContext) down the HTTP layer and
 // handed to the index through View.WithTrace. All methods are nil-safe, so
 // un-traced paths pay only a nil check.

@@ -45,7 +45,7 @@ func (s *Server) initObs() {
 	}
 	s.reqAll = obs.NewHistogram(obs.DefBuckets())
 
-	// Admission gate and coalescer.
+	// Admission gate.
 	reg.GaugeFunc("wazi_http_inflight", "Admitted requests currently executing.",
 		func() float64 { return float64(s.gate.inflight.Load()) })
 	reg.GaugeFunc("wazi_http_queued", "Requests waiting for an admission slot.",
@@ -56,10 +56,7 @@ func (s *Server) initObs() {
 		func() float64 { return float64(s.gate.shed.Load()) })
 	reg.CounterFunc("wazi_ops_served_total", "Logical index operations served (batch ops count individually).",
 		func() float64 { return float64(s.ops.Load()) })
-	reg.CounterFunc("wazi_coalesced_passes_total", "Shared snapshot passes executed by the read coalescer.",
-		func() float64 { return float64(s.co.batches.Load()) })
-	reg.CounterFunc("wazi_coalesced_reads_total", "Reads folded into coalescer passes.",
-		func() float64 { return float64(s.co.reads.Load()) })
+	s.panics = reg.Counter("wazi_http_panics_total", "Handler panics answered with 500.")
 	// Monotonic since start, so a counter — a scraper can rate() it; as a
 	// gauge the _total name would lie about resets.
 	reg.CounterFunc("wazi_slowlog_recorded_total", "Slow queries recorded since start.",
@@ -182,27 +179,18 @@ func (s *Server) status(route string, code int) {
 		obs.L("route", route), obs.L("code", strconv.Itoa(code))).Inc()
 }
 
-// statusRecorder captures the status code a handler wrote.
+// statusRecorder captures the status code a handler wrote, and whether it
+// wrote one: every response in this package goes out through writeJSON,
+// which sets the header first.
 type statusRecorder struct {
 	http.ResponseWriter
-	code int
+	code  int
+	wrote bool
 }
 
 func (w *statusRecorder) WriteHeader(code int) {
-	w.code = code
+	w.code, w.wrote = code, true
 	w.ResponseWriter.WriteHeader(code)
-}
-
-// tracedView hands tr to a view that supports tracing (the production
-// *wazi.View); doubles and other backends pass through untouched.
-func tracedView(v ReadView, tr *obs.QueryTrace) ReadView {
-	if tr == nil || v == nil {
-		return v
-	}
-	if wv, ok := v.(*wazi.View); ok {
-		return wv.WithTrace(tr)
-	}
-	return v
 }
 
 // ---------------------------------------------------------------- endpoints
@@ -311,9 +299,8 @@ func (s *Server) StatsLine() string {
 // after the SIGTERM drain completes.
 func (s *Server) CountersLine() string {
 	stats := s.b.Stats()
-	return fmt.Sprintf("ops=%d admitted=%d shed=%d coalesced_passes=%d coalesced_reads=%d cache_hits=%d cache_misses=%d slow_queries=%d",
+	return fmt.Sprintf("ops=%d admitted=%d shed=%d cache_hits=%d cache_misses=%d slow_queries=%d",
 		s.ops.Load(), s.gate.admitted.Load(), s.gate.shed.Load(),
-		s.co.batches.Load(), s.co.reads.Load(),
 		stats.CacheHits, stats.CacheMisses, s.slow.Recorded())
 }
 

@@ -66,7 +66,7 @@ func TestMetricsEndpointParses(t *testing.T) {
 		"wazi_index_points",
 		"wazi_fanout_width_shards",
 		"wazi_shard_scan_seconds",
-		"wazi_coalesced_passes_total",
+		"wazi_http_panics_total",
 	} {
 		if _, ok := byName[want]; !ok {
 			t.Errorf("/metrics missing family %q", want)
@@ -163,9 +163,9 @@ func TestMetricsStatszConcurrentWithWrites(t *testing.T) {
 
 // TestSlowQueryLoggedWithSpans serves a disk-backed index with a tiny block
 // cache, records every request (negative threshold), and asserts a wide
-// range query lands in /debug/slowlog with spans from at least three
-// distinct layers of the fan-out: admission gate, coalescing batcher,
-// per-shard scans, and the page store.
+// range query lands in /debug/slowlog with spans from three distinct
+// layers of the fan-out: admission gate, per-shard scans, and the page
+// store.
 func TestSlowQueryLoggedWithSpans(t *testing.T) {
 	pts := dataset.Generate(dataset.NewYork, 6000, 1)
 	train := workload.Skewed(dataset.NewYork, 100, 0.0256e-2, 2)
@@ -176,7 +176,6 @@ func TestSlowQueryLoggedWithSpans(t *testing.T) {
 	}
 	defer idx.Close()
 	srv := New(Sharded(idx), Config{SlowQueryThreshold: -1})
-	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -216,62 +215,10 @@ func TestSlowQueryLoggedWithSpans(t *testing.T) {
 	if len(layers) < 3 {
 		t.Fatalf("slow query trace has %d distinct span layers (%v), want >= 3", len(layers), layers)
 	}
-	for _, want := range []string{"admission", "batcher", "shard_scan", "pagestore"} {
+	for _, want := range []string{"admission", "shard_scan", "pagestore"} {
 		if !layers[want] {
 			t.Errorf("slow query trace missing %q span (got %v)", want, layers)
 		}
-	}
-}
-
-// TestCoalescedTraceAttribution blocks a single coalescer worker so several
-// reads pile up, then releases them and asserts each coalesced request's
-// trace carries a "batcher" span attributing the shared snapshot pass
-// (batch size >= 2) to it.
-func TestCoalescedTraceAttribution(t *testing.T) {
-	b, _ := newTestBackend(t)
-	blocked := &blockingBackend{Backend: b, gate: make(chan struct{})}
-	srv := New(blocked, Config{MaxInflight: 8, MaxQueue: 8, CoalesceWorkers: 1,
-		CoalesceBatch: 8, SlowQueryThreshold: -1})
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	body := `{"rect":{"MinX":0,"MinY":0,"MaxX":1,"MaxY":1}}`
-	const n = 3
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/v1/count", "application/json", strings.NewReader(body))
-			if err != nil {
-				t.Errorf("count: %v", err)
-				return
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}()
-	}
-	// Wait until all n reads are enqueued — either still in the channel or
-	// already drained into the blocked worker's group (reads counts tasks
-	// in formed groups). Which side each lands on depends on scheduling;
-	// both produce coalesced passes of >= 2 once the gate opens.
-	waitFor(t, func() bool {
-		return srv.co.reads.Load()+int64(len(srv.co.tasks)) >= n
-	})
-	close(blocked.gate)
-	wg.Wait()
-
-	var coalesced int
-	for _, tr := range srv.slow.Snapshot() {
-		for _, sp := range tr.Spans {
-			if sp.Name == "batcher" && sp.Attrs["batch"] >= 2 {
-				coalesced++
-			}
-		}
-	}
-	if coalesced < 2 {
-		t.Fatalf("only %d traces carry a batcher span with batch >= 2; the shared pass was not attributed to every coalesced request", coalesced)
 	}
 }
 
@@ -284,7 +231,6 @@ func TestPprofGated(t *testing.T) {
 	}
 	b, _ := newTestBackend(t)
 	srv := New(b, Config{Pprof: true})
-	defer srv.Close()
 	ts2 := httptest.NewServer(srv.Handler())
 	defer ts2.Close()
 	if code, _ := get(t, ts2, "/debug/pprof/"); code != http.StatusOK {
@@ -305,7 +251,7 @@ func TestStatsAndCountersLines(t *testing.T) {
 		}
 	}
 	counters := srv.CountersLine()
-	for _, key := range []string{"ops=", "admitted=", "shed=", "coalesced_passes=", "cache_hits=", "slow_queries="} {
+	for _, key := range []string{"ops=", "admitted=", "shed=", "cache_hits=", "slow_queries="} {
 		if !strings.Contains(counters, key) {
 			t.Errorf("CountersLine %q missing %q", counters, key)
 		}

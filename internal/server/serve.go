@@ -16,8 +16,7 @@ import (
 // sequence:
 //
 //  1. stop accepting and drain in-flight requests (bounded by DrainTimeout);
-//  2. stop the read-executor pool;
-//  3. write the warm-start snapshot, if SnapshotPath is configured, via
+//  2. write the warm-start snapshot, if SnapshotPath is configured, via
 //     write-temp-then-rename so a crash mid-write never corrupts the
 //     previous snapshot.
 //
@@ -29,7 +28,6 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	go func() { errc <- hs.Serve(ln) }()
 	select {
 	case err := <-errc:
-		s.co.close()
 		return err
 	case <-ctx.Done():
 	}
@@ -41,7 +39,6 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		// so the snapshot below is still written.
 		_ = hs.Close()
 	}
-	s.co.close()
 	if serr := s.WriteSnapshot(); serr != nil && err == nil {
 		err = serr
 	}

@@ -2,10 +2,10 @@
 // boundary of the build-offline/serve-online deployment model (§6.5 of the
 // paper), hardened for sustained traffic:
 //
-//   - request coalescing: concurrent singleton reads are grouped by a fixed
-//     worker pool into shared snapshot passes (coalesce.go);
-//   - admission control: a semaphore gate with a bounded waiting queue
-//     sheds overload with 429s instead of collapsing (admission.go);
+//   - admission control: a semaphore gate with a bounded waiting queue is
+//     the one bound on index concurrency — every op runs on the handler
+//     goroutine that holds its slot — and sheds overload with 429s instead
+//     of collapsing (admission.go);
 //   - warm starts: graceful shutdown drains in-flight requests and writes a
 //     Sharded snapshot that the next process restores without rebuilding
 //     (serve.go, wazi.Sharded.Save/LoadSharded).
@@ -32,8 +32,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -97,12 +99,6 @@ type Config struct {
 	// NoQueue disables the waiting queue: any request beyond MaxInflight is
 	// shed immediately.
 	NoQueue bool
-	// CoalesceWorkers is the size of the read-executor pool (default
-	// GOMAXPROCS).
-	CoalesceWorkers int
-	// CoalesceBatch caps how many reads one worker folds into a single
-	// snapshot pass (default 32).
-	CoalesceBatch int
 	// SnapshotPath, when set, is where graceful shutdown writes the
 	// warm-start snapshot.
 	SnapshotPath string
@@ -142,21 +138,14 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	procs := runtime.GOMAXPROCS(0)
 	if c.MaxInflight <= 0 {
-		c.MaxInflight = 4 * procs
+		c.MaxInflight = 4 * runtime.GOMAXPROCS(0)
 	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 4 * c.MaxInflight
 	}
 	if c.NoQueue {
 		c.MaxQueue = 0
-	}
-	if c.CoalesceWorkers <= 0 {
-		c.CoalesceWorkers = procs
-	}
-	if c.CoalesceBatch <= 0 {
-		c.CoalesceBatch = 32
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 10 * time.Second
@@ -193,7 +182,6 @@ type Server struct {
 	b     Backend
 	cfg   Config
 	gate  *gate
-	co    *coalescer
 	mux   *http.ServeMux
 	start time.Time
 	ops   atomic.Int64 // logical index operations served (batch ops count individually)
@@ -206,6 +194,7 @@ type Server struct {
 	slow      *obs.SlowLog
 	routeHist map[string]*obs.Histogram
 	reqAll    *obs.Histogram
+	panics    *obs.Counter
 	lastLine  lineWindow
 
 	// Anomaly-triggered profile capture (profilez.go): nil unless
@@ -214,8 +203,7 @@ type Server struct {
 	gcBreaches atomic.Int64
 }
 
-// New builds a Server. Call Close (or let Serve's shutdown path do it) to
-// stop the read-executor pool.
+// New builds a Server.
 func New(b Backend, cfg Config) *Server {
 	cfg.fill()
 	s := &Server{
@@ -224,7 +212,6 @@ func New(b Backend, cfg Config) *Server {
 		gate:  newGate(cfg.MaxInflight, cfg.MaxQueue),
 		start: time.Now(),
 	}
-	s.co = newCoalescer(b, cfg.CoalesceWorkers, cfg.CoalesceBatch, cfg.MaxInflight+cfg.MaxQueue+1)
 	s.prof = newProfiler(cfg.ProfileDir, cfg.ProfileMaxCaptures, cfg.ProfileCooldown, cfg.ProfileCPUDuration)
 	s.initObs()
 	mux := http.NewServeMux()
@@ -251,10 +238,6 @@ func New(b Backend, cfg Config) *Server {
 
 // Handler returns the HTTP handler tree.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Close stops the read-executor pool. Safe to call once, after the HTTP
-// listener has drained.
-func (s *Server) Close() { s.co.close() }
 
 // ---------------------------------------------------------------- plumbing
 
@@ -289,7 +272,10 @@ func decode(r *http.Request, v any) error {
 // bounds every kind of in-flight work and MaxQueue bounds the line behind
 // it. Every request carries a QueryTrace in its context; the admission wait
 // becomes the trace's first span, the request's total latency lands in the
-// per-route histogram, and slow requests enter the slow-query log.
+// per-route histogram, and slow requests enter the slow-query log. A panic
+// under the handler (DiskStore raises page-file I/O errors as panics) fails
+// that one request with a 500: the slot is released and the connection and
+// the process keep serving.
 func (s *Server) opHandler(route string, h http.HandlerFunc) http.HandlerFunc {
 	hist := s.routeHist[route]
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -320,6 +306,14 @@ func (s *Server) opHandler(route string, h http.HandlerFunc) http.HandlerFunc {
 		tr.AddSpan("admission", admit, time.Since(admit), nil)
 		sw := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		defer func() {
+			if p := recover(); p != nil {
+				s.panics.Inc()
+				log.Printf("server: panic serving %s: %v\n%s", r.URL.Path, p, debug.Stack())
+				if !sw.wrote {
+					writeError(sw, http.StatusInternalServerError, "internal error: %v", p)
+				}
+				sw.code = http.StatusInternalServerError
+			}
 			release()
 			tr.Finish()
 			d := tr.Total()
@@ -338,23 +332,15 @@ func (s *Server) opHandler(route string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// read runs fn through the coalescer and writes the result (or the
-// shutdown/cancel error) for the caller.
-func (s *Server) read(w http.ResponseWriter, r *http.Request, fn func(ReadView) any) {
-	res, err := s.co.run(r.Context(), fn)
-	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-		return
+// view pins the one snapshot a request reads and hands it the request's
+// trace when it supports tracing (the production *wazi.View); doubles pass
+// through untouched.
+func (s *Server) view(r *http.Request) ReadView {
+	v := s.b.View()
+	if wv, ok := v.(*wazi.View); ok {
+		return wv.WithTrace(obs.FromContext(r.Context()))
 	}
-	s.ops.Add(1)
-	writeJSON(w, http.StatusOK, res)
-	// A response carrying a pooled buffer is recycled only here, after
-	// encoding: the result crossed from the coalescer worker to this
-	// goroutine, so the worker must not release it. A result abandoned on a
-	// cancelled context is simply collected with its buffer.
-	if rel, ok := res.(interface{ release() }); ok {
-		rel.release()
-	}
+	return v
 }
 
 // pointBufPool recycles the response point buffers of the range and kNN
@@ -378,15 +364,13 @@ func (b *pointBuf) release() {
 	pointBufPool.Put(b)
 }
 
-// pooledRange is a rangeResp whose Points slice is borrowed from
-// pointBufPool; Server.read releases it once the response is encoded. It
-// marshals identically to rangeResp (the embedded fields carry the tags).
-type pooledRange struct {
-	rangeResp
-	buf *pointBuf
+// writePoints answers a range or kNN request out of its pooled buffer and
+// recycles the buffer once the response is encoded.
+func (s *Server) writePoints(w http.ResponseWriter, b *pointBuf) {
+	s.ops.Add(1)
+	writeJSON(w, http.StatusOK, rangeResp{Count: len(b.pts), Points: b.pts})
+	b.release()
 }
-
-func (p pooledRange) release() { p.buf.release() }
 
 // ---------------------------------------------------------------- requests
 
@@ -441,11 +425,9 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.read(w, r, func(v ReadView) any {
-		b := pointBufPool.Get().(*pointBuf)
-		b.pts = v.RangeQueryAppend(b.pts[:0], *req.Rect)
-		return pooledRange{rangeResp{Count: len(b.pts), Points: b.pts}, b}
-	})
+	b := pointBufPool.Get().(*pointBuf)
+	b.pts = s.view(r).RangeQueryAppend(b.pts[:0], *req.Rect)
+	s.writePoints(w, b)
 }
 
 func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
@@ -459,9 +441,9 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.read(w, r, func(v ReadView) any {
-		return countResp{Count: v.RangeCount(*req.Rect)}
-	})
+	n := s.view(r).RangeCount(*req.Rect)
+	s.ops.Add(1)
+	writeJSON(w, http.StatusOK, countResp{Count: n})
 }
 
 func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
@@ -475,9 +457,9 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.read(w, r, func(v ReadView) any {
-		return foundResp{Found: v.PointQuery(*req.Point)}
-	})
+	found := s.view(r).PointQuery(*req.Point)
+	s.ops.Add(1)
+	writeJSON(w, http.StatusOK, foundResp{Found: found})
 }
 
 func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
@@ -491,11 +473,9 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.read(w, r, func(v ReadView) any {
-		b := pointBufPool.Get().(*pointBuf)
-		b.pts = v.KNNAppend(b.pts[:0], *req.Point, req.K)
-		return pooledRange{rangeResp{Count: len(b.pts), Points: b.pts}, b}
-	})
+	b := pointBufPool.Get().(*pointBuf)
+	b.pts = s.view(r).KNNAppend(b.pts[:0], *req.Point, req.K)
+	s.writePoints(w, b)
 }
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
@@ -530,14 +510,11 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, foundResp{Found: found})
 }
 
-// handleBatch executes a mixed multi-op request under ONE admission slot —
-// client-side batching, complementing the server-side coalescer. The whole
-// batch runs as a single coalescer task, so the pool invariant (only
-// CoalesceWorkers goroutines execute index reads) holds for batches too.
-// Reads run against a view that starts as the task's pinned snapshot and is
+// handleBatch executes a mixed multi-op request under ONE admission slot:
+// client-side batching. Reads run against a lazily pinned view that is
 // re-pinned after every write, so within one batch reads observe the
 // batch's own earlier writes, and runs of consecutive reads share a
-// snapshot pass. The whole batch is validated before any op executes: a
+// snapshot. The whole batch is validated before any op executes: a
 // malformed batch changes nothing.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchReq
@@ -555,57 +532,48 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	tr := obs.FromContext(r.Context())
-	res, err := s.co.run(r.Context(), func(view ReadView) any {
-		pin := func() ReadView {
-			if view == nil {
-				view = tracedView(s.b.View(), tr)
-			}
-			return view
+	var view ReadView
+	pin := func() ReadView {
+		if view == nil {
+			view = s.view(r)
 		}
-		results := make([]any, len(req.Ops))
-		// The kNN ops of a batch share one pooled working buffer for their
-		// window scans; each answer is copied out at its exact size.
-		var knn *pointBuf
-		defer func() {
-			if knn != nil {
-				knn.release()
+		return view
+	}
+	results := make([]any, len(req.Ops))
+	// The kNN ops of a batch share one pooled working buffer for their
+	// window scans; each answer is copied out at its exact size.
+	var knn *pointBuf
+	for i, op := range req.Ops {
+		switch op.Op {
+		case workload.WireRange:
+			pts := pin().RangeQuery(*op.Rect)
+			results[i] = rangeResp{Count: len(pts), Points: pts}
+		case workload.WireCount:
+			results[i] = countResp{Count: pin().RangeCount(*op.Rect)}
+		case workload.WirePoint:
+			results[i] = foundResp{Found: pin().PointQuery(*op.Point)}
+		case workload.WireKNN:
+			if knn == nil {
+				knn = pointBufPool.Get().(*pointBuf)
 			}
-		}()
-		for i, op := range req.Ops {
-			switch op.Op {
-			case workload.WireRange:
-				pts := pin().RangeQuery(*op.Rect)
-				results[i] = rangeResp{Count: len(pts), Points: pts}
-			case workload.WireCount:
-				results[i] = countResp{Count: pin().RangeCount(*op.Rect)}
-			case workload.WirePoint:
-				results[i] = foundResp{Found: pin().PointQuery(*op.Point)}
-			case workload.WireKNN:
-				if knn == nil {
-					knn = pointBufPool.Get().(*pointBuf)
-				}
-				knn.pts = pin().KNNAppend(knn.pts[:0], *op.Point, op.K)
-				pts := append([]wazi.Point(nil), knn.pts...)
-				results[i] = rangeResp{Count: len(pts), Points: pts}
-			case workload.WireInsert:
-				s.b.Insert(*op.Point)
-				view = nil // later reads must see this write
-				results[i] = okResp{OK: true}
-			case workload.WireDelete:
-				found := s.b.Delete(*op.Point)
-				view = nil
-				results[i] = foundResp{Found: found}
-			}
+			knn.pts = pin().KNNAppend(knn.pts[:0], *op.Point, op.K)
+			pts := append([]wazi.Point(nil), knn.pts...)
+			results[i] = rangeResp{Count: len(pts), Points: pts}
+		case workload.WireInsert:
+			s.b.Insert(*op.Point)
+			view = nil // later reads must see this write
+			results[i] = okResp{OK: true}
+		case workload.WireDelete:
+			found := s.b.Delete(*op.Point)
+			view = nil
+			results[i] = foundResp{Found: found}
 		}
-		return batchResp{Results: results}
-	})
-	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-		return
+	}
+	if knn != nil {
+		knn.release()
 	}
 	s.ops.Add(int64(len(req.Ops)))
-	writeJSON(w, http.StatusOK, res)
+	writeJSON(w, http.StatusOK, batchResp{Results: results})
 }
 
 // ------------------------------------------------------------ introspection
@@ -651,28 +619,25 @@ type shardState struct {
 }
 
 // statszResp surfaces the serving counters, the aggregated storage.Stats of
-// the index, and per-shard drift state. It intentionally includes both the
-// admission metrics (is the gate shedding?) and the coalescer metrics (how
-// much are reads batching?) — the two tuning knobs of docs/SERVING.md.
+// the index, and per-shard drift state, including the admission metrics (is
+// the gate shedding?) — the tuning knob of docs/SERVING.md.
 type statszResp struct {
-	Points          int          `json:"points"`
-	Shards          int          `json:"shards"`
-	Rebuilds        int64        `json:"rebuilds"`
-	Repartitions    int64        `json:"repartitions"`
-	PlanEpoch       int          `json:"plan_epoch"`
-	Migrating       bool         `json:"migrating"`
-	OpsServed       int64        `json:"ops_served"`
-	Admitted        int64        `json:"admitted_requests"`
-	Shed            int64        `json:"shed_requests"`
-	Inflight        int64        `json:"inflight"`
-	Queued          int64        `json:"queued"`
-	CoalescedPasses int64        `json:"coalesced_passes"`
-	CoalescedReads  int64        `json:"coalesced_reads"`
-	CacheHits       int64        `json:"cache_hits"`
-	CacheMisses     int64        `json:"cache_misses"`
-	CacheEvictions  int64        `json:"cache_evictions"`
-	IndexStats      wazi.Stats   `json:"index_stats"`
-	ShardStates     []shardState `json:"shard_states"`
+	Points         int          `json:"points"`
+	Shards         int          `json:"shards"`
+	Rebuilds       int64        `json:"rebuilds"`
+	Repartitions   int64        `json:"repartitions"`
+	PlanEpoch      int          `json:"plan_epoch"`
+	Migrating      bool         `json:"migrating"`
+	OpsServed      int64        `json:"ops_served"`
+	Admitted       int64        `json:"admitted_requests"`
+	Shed           int64        `json:"shed_requests"`
+	Inflight       int64        `json:"inflight"`
+	Queued         int64        `json:"queued"`
+	CacheHits      int64        `json:"cache_hits"`
+	CacheMisses    int64        `json:"cache_misses"`
+	CacheEvictions int64        `json:"cache_evictions"`
+	IndexStats     wazi.Stats   `json:"index_stats"`
+	ShardStates    []shardState `json:"shard_states"`
 	// WAL reports the write-ahead log's counters and recovery status;
 	// omitted when the backend runs without one.
 	WAL *wazi.WALStats `json:"wal,omitempty"`
@@ -690,25 +655,23 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	}
 	stats := s.b.Stats()
 	resp := statszResp{
-		Points:          s.b.Len(),
-		Shards:          s.b.NumShards(),
-		Rebuilds:        s.b.Rebuilds(),
-		Repartitions:    s.b.Repartitions(),
-		PlanEpoch:       s.b.PlanEpoch(),
-		Migrating:       s.b.Migrating(),
-		OpsServed:       s.ops.Load(),
-		Admitted:        s.gate.admitted.Load(),
-		Shed:            s.gate.shed.Load(),
-		Inflight:        s.gate.inflight.Load(),
-		Queued:          s.gate.queued.Load(),
-		CoalescedPasses: s.co.batches.Load(),
-		CoalescedReads:  s.co.reads.Load(),
-		CacheHits:       stats.CacheHits,
-		CacheMisses:     stats.CacheMisses,
-		CacheEvictions:  stats.CacheEvictions,
-		IndexStats:      stats,
-		WAL:             s.walStats(),
-		Obs:             s.obsSnapshot(),
+		Points:         s.b.Len(),
+		Shards:         s.b.NumShards(),
+		Rebuilds:       s.b.Rebuilds(),
+		Repartitions:   s.b.Repartitions(),
+		PlanEpoch:      s.b.PlanEpoch(),
+		Migrating:      s.b.Migrating(),
+		OpsServed:      s.ops.Load(),
+		Admitted:       s.gate.admitted.Load(),
+		Shed:           s.gate.shed.Load(),
+		Inflight:       s.gate.inflight.Load(),
+		Queued:         s.gate.queued.Load(),
+		CacheHits:      stats.CacheHits,
+		CacheMisses:    stats.CacheMisses,
+		CacheEvictions: stats.CacheEvictions,
+		IndexStats:     stats,
+		WAL:            s.walStats(),
+		Obs:            s.obsSnapshot(),
 	}
 	for i, info := range s.b.Shards() {
 		resp.ShardStates = append(resp.ShardStates, shardState{

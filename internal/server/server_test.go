@@ -5,15 +5,19 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	wazi "github.com/wazi-index/wazi"
 	"github.com/wazi-index/wazi/internal/dataset"
+	"github.com/wazi-index/wazi/internal/obs"
 	"github.com/wazi-index/wazi/internal/workload"
 )
 
@@ -34,11 +38,12 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *wazi.S
 	t.Helper()
 	b, idx := newTestBackend(t)
 	srv := New(b, cfg)
-	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts, idx
 }
+
+const wholeUnitRect = `{"rect":{"MinX":0,"MinY":0,"MaxX":1,"MaxY":1}}`
 
 func post(t *testing.T, ts *httptest.Server, path, body string) (int, map[string]any) {
 	t.Helper()
@@ -178,12 +183,12 @@ func TestEndpoints(t *testing.T) {
 		},
 		{
 			name: "batch mixed", path: "/v1/batch",
-			body:     fmt.Sprintf(`{"ops":[{"op":"count","rect":%s},{"op":"insert","point":{"X":0.111,"Y":0.222}},{"op":"point","point":{"X":0.111,"Y":0.222}},{"op":"delete","point":{"X":0.111,"Y":0.222}}]}`, wholeRect),
+			body:     fmt.Sprintf(`{"ops":[{"op":"count","rect":%s},{"op":"insert","point":{"X":0.111,"Y":0.222}},{"op":"point","point":{"X":0.111,"Y":0.222}},{"op":"delete","point":{"X":0.111,"Y":0.222}},{"op":"point","point":{"X":0.111,"Y":0.222}}]}`, wholeRect),
 			wantCode: 200,
 			check: func(t *testing.T, v map[string]any) {
 				results := v["results"].([]any)
-				if len(results) != 4 {
-					t.Fatalf("got %d results, want 4", len(results))
+				if len(results) != 5 {
+					t.Fatalf("got %d results, want 5", len(results))
 				}
 				// The point op follows the insert in the same batch, so it
 				// must observe it (reads re-pin their view after writes).
@@ -192,6 +197,9 @@ func TestEndpoints(t *testing.T) {
 				}
 				if results[3].(map[string]any)["found"] != true {
 					t.Errorf("batch delete missed the batch insert: %v", results[3])
+				}
+				if results[4].(map[string]any)["found"] != false {
+					t.Errorf("batch read did not observe earlier batch delete: %v", results[4])
 				}
 			},
 		},
@@ -317,9 +325,6 @@ func TestHealthzAndStatsz(t *testing.T) {
 	if len(stats.ShardStates) != idx.NumShards() {
 		t.Errorf("statsz drift state covers %d shards, want %d", len(stats.ShardStates), idx.NumShards())
 	}
-	if stats.CoalescedPasses < 1 || stats.CoalescedReads < stats.CoalescedPasses {
-		t.Errorf("coalescer counters look wrong: passes=%d reads=%d", stats.CoalescedPasses, stats.CoalescedReads)
-	}
 	// Migration state of a fresh index: epoch 0, nothing in flight, and the
 	// per-shard load counters must have seen the warm-up traffic (the whole-
 	// bounds count targets every non-empty shard).
@@ -337,23 +342,39 @@ func TestHealthzAndStatsz(t *testing.T) {
 }
 
 // blockingBackend wraps a Backend so reads block until released — the
-// saturated-index stand-in for admission tests.
+// saturated-index stand-in for admission tests. It counts what the gate is
+// meant to bound: views pinned, and reads inside the backend at once.
 type blockingBackend struct {
 	Backend
-	gate chan struct{}
+	gate   chan struct{}
+	views  atomic.Int64 // View calls
+	inside atomic.Int64 // reads in RangeCount now
+	peak   atomic.Int64 // most reads ever in RangeCount at once
+	faulty atomic.Bool  // RangeCount panics while set, as DiskStore does on EIO
 }
 
 type blockingView struct {
 	ReadView
-	gate chan struct{}
+	b *blockingBackend
 }
 
 func (b *blockingBackend) View() ReadView {
-	return &blockingView{ReadView: b.Backend.View(), gate: b.gate}
+	b.views.Add(1)
+	return &blockingView{ReadView: b.Backend.View(), b: b}
 }
 
 func (v *blockingView) RangeCount(r wazi.Rect) int {
-	<-v.gate
+	n := v.b.inside.Add(1)
+	defer v.b.inside.Add(-1)
+	for {
+		if p := v.b.peak.Load(); n <= p || v.b.peak.CompareAndSwap(p, n) {
+			break
+		}
+	}
+	if v.b.faulty.Load() {
+		panic("blockingBackend: injected page read fault")
+	}
+	<-v.b.gate
 	return v.ReadView.RangeCount(r)
 }
 
@@ -363,8 +384,7 @@ func (v *blockingView) RangeCount(r wazi.Rect) int {
 func TestAdmissionShedsWith429(t *testing.T) {
 	b, _ := newTestBackend(t)
 	blocked := &blockingBackend{Backend: b, gate: make(chan struct{})}
-	srv := New(blocked, Config{MaxInflight: 1, NoQueue: true, CoalesceWorkers: 1, CoalesceBatch: 1})
-	defer srv.Close()
+	srv := New(blocked, Config{MaxInflight: 1, NoQueue: true})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -416,8 +436,7 @@ func TestAdmissionShedsWith429(t *testing.T) {
 func TestAdmissionQueueThenServe(t *testing.T) {
 	b, _ := newTestBackend(t)
 	blocked := &blockingBackend{Backend: b, gate: make(chan struct{})}
-	srv := New(blocked, Config{MaxInflight: 1, MaxQueue: 8, CoalesceWorkers: 1, CoalesceBatch: 1})
-	defer srv.Close()
+	srv := New(blocked, Config{MaxInflight: 1, MaxQueue: 8})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -453,6 +472,126 @@ func TestAdmissionQueueThenServe(t *testing.T) {
 	}
 }
 
+// TestGateAloneBoundsBackendReads sends 8 concurrent counts through a
+// 2-slot gate: reads run on the handler goroutines, so the gate is the only
+// thing between the requests and the index, and the backend must never see
+// more than 2 of them at once. All 8 are served.
+func TestGateAloneBoundsBackendReads(t *testing.T) {
+	b, _ := newTestBackend(t)
+	blocked := &blockingBackend{Backend: b, gate: make(chan struct{})}
+	srv := New(blocked, Config{MaxInflight: 2, MaxQueue: 8})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	const n = 8
+	codes := make(chan int, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			resp, err := http.Post(ts.URL+"/v1/count", "application/json", strings.NewReader(wholeUnitRect))
+			if err != nil {
+				codes <- -1
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			codes <- resp.StatusCode
+		}()
+	}
+	// Two hold the slots inside the backend, six wait at the gate.
+	waitFor(t, func() bool { return blocked.inside.Load() == 2 && srv.gate.queued.Load() == n-2 })
+	close(blocked.gate)
+	for i := 0; i < n; i++ {
+		if code := <-codes; code != http.StatusOK {
+			t.Fatalf("request finished with %d, want 200", code)
+		}
+	}
+	if peak := blocked.peak.Load(); peak != 2 {
+		t.Errorf("backend saw %d reads at once, want exactly MaxInflight = 2", peak)
+	}
+	if views := blocked.views.Load(); views != n {
+		t.Errorf("backend pinned %d views for %d reads", views, n)
+	}
+}
+
+// TestCancelledWhileQueuedNeverReads cancels a request that is waiting at
+// the gate: it answers 503 and the index is never asked for a view on its
+// behalf.
+func TestCancelledWhileQueuedNeverReads(t *testing.T) {
+	b, _ := newTestBackend(t)
+	blocked := &blockingBackend{Backend: b, gate: make(chan struct{})}
+	srv := New(blocked, Config{MaxInflight: 1, MaxQueue: 8})
+
+	serve := func(ctx context.Context) <-chan *httptest.ResponseRecorder {
+		done := make(chan *httptest.ResponseRecorder, 1)
+		req := httptest.NewRequest(http.MethodPost, "/v1/count", strings.NewReader(wholeUnitRect))
+		go func() {
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, req.WithContext(ctx))
+			done <- rec
+		}()
+		return done
+	}
+	first := serve(context.Background())
+	waitFor(t, func() bool { return blocked.inside.Load() == 1 })
+
+	ctx, cancel := context.WithCancel(context.Background())
+	second := serve(ctx)
+	waitFor(t, func() bool { return srv.gate.queued.Load() == 1 })
+	cancel()
+	if rec := <-second; rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("request cancelled while queued answered %d, want 503", rec.Code)
+	}
+	if views := blocked.views.Load(); views != 1 {
+		t.Errorf("backend pinned %d views; the cancelled request must not reach it", views)
+	}
+	close(blocked.gate)
+	if rec := <-first; rec.Code != http.StatusOK {
+		t.Fatalf("first request finished with %d, want 200", rec.Code)
+	}
+	if q, in := srv.gate.queued.Load(), srv.gate.inflight.Load(); q != 0 || in != 0 {
+		t.Errorf("gate left with queued=%d inflight=%d", q, in)
+	}
+}
+
+// TestHandlerPanicContained makes the backend read panic the way DiskStore
+// does on a page-file I/O error: the request answers 500 in the JSON error
+// shape, the admission slot comes back, the panic is counted, and the next
+// request on the same 1-slot gate (and the same connection) is served.
+func TestHandlerPanicContained(t *testing.T) {
+	log.SetOutput(io.Discard) // the recovered panic's stack trace
+	defer log.SetOutput(os.Stderr)
+	b, _ := newTestBackend(t)
+	blocked := &blockingBackend{Backend: b, gate: make(chan struct{})}
+	close(blocked.gate)
+	blocked.faulty.Store(true)
+	srv := New(blocked, Config{MaxInflight: 1, NoQueue: true})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	code, v := post(t, ts, "/v1/count", wholeUnitRect)
+	if code != http.StatusInternalServerError {
+		t.Fatalf("panicking read answered %d (%v), want 500", code, v)
+	}
+	if msg, _ := v["error"].(string); !strings.Contains(msg, "injected page read fault") {
+		t.Errorf("500 body %v does not carry the error shape", v)
+	}
+	if in := srv.gate.inflight.Load(); in != 0 {
+		t.Fatalf("inflight = %d after a panicking request, want 0", in)
+	}
+	if got := srv.panics.Value(); got != 1 {
+		t.Errorf("wazi_http_panics_total = %d, want 1", got)
+	}
+	byStatus := srv.reg.Counter("wazi_http_requests_total", "", obs.L("route", "count"), obs.L("code", "500"))
+	if got := byStatus.Value(); got != 1 {
+		t.Errorf(`wazi_http_requests_total{route="count",code="500"} = %d, want 1`, got)
+	}
+
+	blocked.faulty.Store(false)
+	if code, v := post(t, ts, "/v1/count", wholeUnitRect); code != http.StatusOK {
+		t.Fatalf("request after the panic answered %d (%v), want 200", code, v)
+	}
+}
+
 // TestBatchEndpointResultsMatchDirectQueries cross-checks /v1/batch against
 // the index: a batch of counts must agree with RangeCount.
 func TestBatchEndpointResultsMatchDirectQueries(t *testing.T) {
@@ -476,62 +615,6 @@ func TestBatchEndpointResultsMatchDirectQueries(t *testing.T) {
 			t.Errorf("batch count %d = %d, direct RangeCount = %d", i, got, want)
 		}
 	}
-}
-
-// TestCoalescerGroupsReads drives many concurrent reads through a one-worker
-// coalescer and asserts they were folded into fewer snapshot passes.
-func TestCoalescerGroupsReads(t *testing.T) {
-	b, _ := newTestBackend(t)
-	co := newCoalescer(b, 1, 16, 256)
-	defer co.close()
-
-	// Occupy the single worker with a read that blocks, let the remaining
-	// reads pile up in the queue, then release: the worker must drain them
-	// in grouped snapshot passes, not one by one.
-	started := make(chan struct{})
-	release := make(chan struct{})
-	blockerDone := make(chan struct{})
-	go func() {
-		defer close(blockerDone)
-		_, err := co.run(context.Background(), func(v ReadView) any {
-			close(started)
-			<-release
-			return nil
-		})
-		if err != nil {
-			t.Errorf("blocking read failed: %v", err)
-		}
-	}()
-	<-started
-
-	const n = 127
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, err := co.run(context.Background(), func(v ReadView) any {
-				return v.RangeCount(wazi.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1})
-			})
-			if err != nil {
-				t.Errorf("coalesced read failed: %v", err)
-			}
-		}()
-	}
-	waitFor(t, func() bool { return len(co.tasks) == n })
-	close(release)
-	wg.Wait()
-	<-blockerDone
-
-	reads, passes := co.reads.Load(), co.batches.Load()
-	if reads != n+1 {
-		t.Fatalf("executed %d reads, want %d", reads, n+1)
-	}
-	// 1 pass for the blocker + ceil(127/16) = 8 for the backlog.
-	if want := int64(1 + (n+15)/16); passes > want {
-		t.Errorf("%d passes for %d reads, want <= %d", passes, reads, want)
-	}
-	t.Logf("%d reads in %d snapshot passes (avg batch %.1f)", reads, passes, float64(reads)/float64(passes))
 }
 
 func waitFor(t *testing.T, cond func() bool) {

@@ -37,7 +37,6 @@ func TestServingDiskBackedStatsz(t *testing.T) {
 	defer ram.Close()
 
 	srv := New(Sharded(disk), Config{})
-	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

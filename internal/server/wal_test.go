@@ -26,7 +26,6 @@ func newWALTestServer(t *testing.T, cfg Config, walDir string) (*Server, *httpte
 	}
 	t.Cleanup(s.Close)
 	srv := New(Sharded(s), cfg)
-	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts, s
@@ -137,7 +136,6 @@ type plainBackend struct{ Backend }
 func TestChecksumWithoutBackendSupport(t *testing.T) {
 	b, _ := newTestBackend(t)
 	srv := New(plainBackend{b}, Config{})
-	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	if code, _ := get(t, ts, "/debug/checksum"); code != 501 {
@@ -161,7 +159,6 @@ func TestWriteSnapshotTruncatesWAL(t *testing.T) {
 		t.Fatalf("NewSharded: %v", err)
 	}
 	srv := New(Sharded(s), Config{SnapshotPath: snapPath})
-	t.Cleanup(srv.Close)
 	for i := 0; i < 200; i++ {
 		s.Insert(wazi.Point{X: float64(i), Y: float64(i)})
 	}

@@ -2,9 +2,8 @@ package zorder
 
 import "testing"
 
-// FuzzZOrderKernel differentially tests the live Encode/Decode/BigMin
-// kernel (table-driven by default, shift-cascade under -tags zorder_shift)
-// against the always-compiled shift-cascade references: same keys from
+// FuzzZOrderKernel differentially tests the table-driven Encode/Decode/BigMin
+// kernel against the shift-cascade references: same keys from
 // arbitrary coordinates, same coordinates from arbitrary keys, and same
 // BIGMIN jumps over rectangles formed from arbitrary corner pairs.
 func FuzzZOrderKernel(f *testing.F) {

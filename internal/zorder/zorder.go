@@ -15,13 +15,10 @@ import "math/bits"
 // coordinates, with y contributing the higher bit of each pair.
 type Key uint64
 
-// Encode and Decode have two interchangeable implementations: the default
-// table-driven byte-interleave kernel (zorder_lut.go) and the classic
-// five-step shift cascade, selectable with `-tags zorder_shift`
-// (zorder_shift.go). EncodeRef/DecodeRef below are the shift cascade under
-// fixed names, always compiled, so the differential fuzz target
-// (FuzzZOrderKernel) can compare whichever implementation is live against
-// the reference in the same binary.
+// Encode and Decode are the table-driven byte-interleave kernel
+// (zorder_lut.go). EncodeRef/DecodeRef below are the classic five-step
+// shift cascade, the reference the differential fuzz target
+// (FuzzZOrderKernel) and the boundary tests hold the kernel to.
 
 // EncodeRef is the reference shift-cascade implementation of Encode. Bit i
 // of x maps to bit 2i of the key and bit i of y maps to bit 2i+1, so the y

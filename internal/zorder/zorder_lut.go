@@ -1,5 +1,3 @@
-//go:build !zorder_shift
-
 package zorder
 
 // Table-driven Morton kernel: one 256-entry table spreads a byte's bits to
@@ -8,9 +6,7 @@ package zorder
 // dependent 5-step cascade — which measures consistently faster than the
 // shift version on the query hot path (every leaf-boundary comparison in
 // the partitioner and the SFC baselines funnels through Encode).
-//
-// Build with `-tags zorder_shift` to select the shift-cascade kernel
-// instead; FuzzZOrderKernel holds the two byte-identical.
+// FuzzZOrderKernel holds it byte-identical to the shift cascade.
 
 // spreadLUT[b] has bit i of b at bit 2i: abcd -> 0a0b0c0d.
 var spreadLUT [256]uint16

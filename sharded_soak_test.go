@@ -388,11 +388,17 @@ func TestShardedRepartitionSoak(t *testing.T) {
 	}
 
 	// And the migrated state must survive a save/warm-start cycle intact.
+	// The background loop is still running and may migrate once more, so
+	// take the snapshot again if the epoch moved while it was written.
 	var snap bytes.Buffer
-	if err := s.Save(&snap); err != nil {
-		t.Fatal(err)
+	epoch := -1
+	for epoch != s.PlanEpoch() {
+		epoch = s.PlanEpoch()
+		snap.Reset()
+		if err := s.Save(&snap); err != nil {
+			t.Fatal(err)
+		}
 	}
-	epoch := s.PlanEpoch()
 	s.Close()
 	re, err := LoadSharded(bytes.NewReader(snap.Bytes()), WithShardedStorage(dir, 64), WithoutAutoRebuild())
 	if err != nil {

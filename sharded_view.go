@@ -7,8 +7,8 @@ import "github.com/wazi-index/wazi/internal/obs"
 // the View was taken — writes, compactions, and rebuilds that land afterwards
 // are invisible to it — so a group of reads executed against one View forms
 // a single consistent snapshot pass. That is what the serving layer's
-// request coalescer batches concurrent HTTP reads into, and what the /v1/batch
-// endpoint uses to make a mixed request's reads mutually consistent.
+// /v1/batch endpoint uses to make a mixed request's reads mutually
+// consistent.
 //
 // A View is cheap (one atomic pointer load), never blocks or is blocked by
 // writers, and is safe for concurrent use. It holds the snapshot's memory
@@ -16,8 +16,8 @@ import "github.com/wazi-index/wazi/internal/obs"
 // take one per batch, drop it when the batch completes.
 //
 // Queries through a View still feed the per-shard drift advisors and
-// recent-query windows, and still count in Stats — a coalesced read is a
-// served read.
+// recent-query windows, and still count in Stats — a read through a View is
+// a served read.
 type View struct {
 	s    *Sharded
 	snap *shardedSnapshot
@@ -34,9 +34,7 @@ func (s *Sharded) View() *View {
 // WithTrace returns a View on the same pinned snapshot whose queries record
 // spans (per-shard scans, page-store reads) into tr. The receiver is not
 // modified, so one snapshot pass can serve traced and un-traced requests
-// side by side — which is how the serving layer's coalescer attributes a
-// shared snapshot pass to every request it batched. A nil tr returns the
-// receiver unchanged.
+// side by side. A nil tr returns the receiver unchanged.
 func (v *View) WithTrace(tr *obs.QueryTrace) *View {
 	if tr == nil {
 		return v

@@ -491,3 +491,55 @@ func BenchmarkKNN(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkShardedFanout prices one Sharded.RangeQueryAppend by how many
+// shards it fans out to, over wazibench's fixture and shard count. Skewed
+// queries of each Table 2 selectivity — plus 1.64 % and 6.55 %, 16× and 64×
+// the paper's largest, where a parallel fan-out would have had the most to
+// harvest — are bucketed by the width a probing RangeCount reports, so every
+// cell scans one known number of shards. docs/SERVING.md ("Fan-out") holds
+// the table this produced for the worker pool against the loop that
+// replaced it; run with -cpu 1,2 to repeat it.
+func BenchmarkShardedFanout(b *testing.B) {
+	pts, train := workload.BenchFixture()
+	s, err := wazi.NewSharded(pts, train, wazi.WithShards(4),
+		wazi.WithoutAutoRebuild(), wazi.WithoutAutoRepartition())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	widthNames := []string{"1", "2", "3+"}
+	width := s.Obs().FanoutWidth
+	for _, sel := range append(append([]float64{}, workload.Selectivities...), 1.64e-2, 6.55e-2) {
+		var buckets [3][]geom.Rect
+		for _, q := range workload.Skewed(dataset.CaliNev, 2_000, sel, 3) {
+			before := width.Sum()
+			s.RangeCount(q)
+			if w := int(width.Sum() - before); w >= 1 {
+				bk := &buckets[min(w, 3)-1]
+				*bk = append(*bk, q)
+			}
+		}
+		for wi, qs := range buckets {
+			b.Run(fmt.Sprintf("sel=%.4f%%/width=%s", sel*100, widthNames[wi]), func(b *testing.B) {
+				if len(qs) < 8 {
+					b.Skipf("%d queries of this width", len(qs))
+				}
+				// One untimed pass sizes dst, fills the arena and scratch
+				// pools, and counts the answers.
+				var dst []geom.Point
+				points := 0
+				for _, q := range qs {
+					dst = s.RangeQueryAppend(dst[:0], q)
+					points += len(dst)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					dst = s.RangeQueryAppend(dst[:0], qs[i%len(qs)])
+				}
+				b.ReportMetric(float64(points)/float64(len(qs)), "points/answer")
+			})
+		}
+	}
+}

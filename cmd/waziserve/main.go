@@ -55,7 +55,6 @@ func run() int {
 		sel      = fs.Float64("sel", 0.0256e-2, "training query selectivity (fraction of data-space area)")
 		seed     = fs.Int64("seed", 1, "seed for synthetic data and training workload")
 		shards   = fs.Int("shards", 0, "shard count (0 = GOMAXPROCS, capped at 64); ignored on warm start")
-		workers  = fs.Int("workers", 0, "fan-out worker pool size (0 = GOMAXPROCS)")
 		inflight = fs.Int("max-inflight", 0, "admitted concurrent requests (0 = 4x GOMAXPROCS)")
 		queue    = fs.Int("max-queue", 0, "requests waiting for admission before 429s (0 = 4x max-inflight)")
 		drain    = fs.Duration("drain", 10*time.Second, "graceful shutdown drain budget")
@@ -79,7 +78,7 @@ func run() int {
 	}
 	logger := log.New(os.Stderr, "waziserve: ", log.LstdFlags)
 
-	idx, how, err := openIndex(*snapshot, *dataPath, *region, *scale, *train, *sel, *seed, *shards, *workers, *storeDir, *cachePgs, *walDir, *walSync)
+	idx, how, err := openIndex(*snapshot, *dataPath, *region, *scale, *train, *sel, *seed, *shards, *storeDir, *cachePgs, *walDir, *walSync)
 	if err != nil {
 		logger.Print(err)
 		return 1
@@ -165,11 +164,8 @@ func run() int {
 
 // openIndex warm-starts from a snapshot when one exists, otherwise builds
 // from CSV data or the synthetic region generator.
-func openIndex(snapshot, dataPath, region string, scale, train int, sel float64, seed int64, shards, workers int, storageDir string, cachePages int, walDir, walSync string) (*wazi.Sharded, string, error) {
+func openIndex(snapshot, dataPath, region string, scale, train int, sel float64, seed int64, shards int, storageDir string, cachePages int, walDir, walSync string) (*wazi.Sharded, string, error) {
 	opts := []wazi.ShardedOption{}
-	if workers > 0 {
-		opts = append(opts, wazi.WithWorkers(workers))
-	}
 	if storageDir != "" {
 		opts = append(opts, wazi.WithShardedStorage(storageDir, cachePages))
 	}

@@ -47,12 +47,12 @@ const (
 // online repartitioning exists to fix — and the migrated plan must cut
 // that imbalance by >= 1.3x. Page-work imbalance is deterministic (pure
 // counter arithmetic, no clocks) and is the tail-latency driver of the
-// parallel fan-out deployment this repository targets: with workers on
-// real cores, p95 follows the busiest shard. Wall-clock per-query
-// latencies are reported alongside (median-of-reps per query, then
-// percentiles across queries); on a multi-core host the imbalance gap
-// compounds with fan-out parallelism, on a single-core CI container it
-// still shows as a consistent (if smaller) win via cache residency.
+// deployment this repository targets, many clients each on their own
+// goroutine: a query costs the pages its shards scan, so p95 follows the
+// busiest shard. Wall-clock per-query latencies are reported alongside
+// (median-of-reps per query, then percentiles across queries); on a
+// single-core CI container the gap still shows as a consistent (if
+// smaller) win via cache residency.
 func RepartitionExperiment(cfg Config) []Table {
 	cfg.fill()
 	r := cfg.Regions[0]
@@ -148,7 +148,7 @@ func RepartitionExperiment(cfg Config) []Table {
 			fmt.Sprintf("%v", migrated),
 		}},
 		Notes: []string{
-			"imbalance ratio is deterministic (counter arithmetic) and is what parallel fan-out p95 follows on real cores",
+			"imbalance ratio is deterministic (counter arithmetic) and is what p95 follows: a query costs the pages its shards scan",
 			"expected shape: imbalance ratio >= 1.3x with migrated=true; p95 ratio >= 1x even on one core (cache residency)",
 		},
 	}

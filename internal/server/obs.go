@@ -23,7 +23,6 @@ import (
 // it, test doubles usually don't.
 type obsBackend interface {
 	Obs() *wazi.ShardedObs
-	PoolCounters() (ran, inline int64)
 }
 
 // routes are the op endpoints, by histogram label.
@@ -102,10 +101,6 @@ func (s *Server) initObs() {
 			reg.RegisterHistogram("wazi_migration_seconds", "Live repartition migration durations.", so.Migration)
 			reg.RegisterHistogram("wazi_wal_fsync_seconds", "Write-ahead-log fsync latency.", so.WALFsync)
 		}
-		reg.CounterFunc("wazi_pool_tasks_total", "Fan-out pool tasks executed.",
-			func() float64 { ran, _ := ob.PoolCounters(); return float64(ran) })
-		reg.CounterFunc("wazi_pool_tasks_inline_total", "Fan-out pool tasks run inline on the caller.",
-			func() float64 { _, inline := ob.PoolCounters(); return float64(inline) })
 	}
 
 	s.registerWALMetrics()

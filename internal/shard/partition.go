@@ -3,9 +3,7 @@
 // key ranges, but instead of balancing point counts it balances *anticipated
 // load*: each point is weighted by the query mass a workload histogram
 // assigns to its grid cell, so hotspot regions are spread across more,
-// smaller shards and cold regions are packed into fewer, larger ones. The
-// package also provides the bounded worker pool used by fan-out query
-// execution.
+// smaller shards and cold regions are packed into fewer, larger ones.
 package shard
 
 import (

@@ -1,192 +1,22 @@
 package shard
 
-import (
-	"sync"
-	"sync/atomic"
-)
+// Pool is what is left of the fan-out worker pool: a fan-out is a loop on
+// the calling goroutine (docs/SERVING.md, "Fan-out"), and Run is that loop.
+// The type survives only because benchmark/layers.go, a contract this
+// repository's PRs may not edit, builds one for its shard.pool_run_ns
+// probe; the next benchmark-archetype PR removes the probe and this file.
+// Nothing outside benchmark/ may use it.
+type Pool struct{}
 
-// Pool is a fixed-size worker pool for fan-out query execution. Do hands
-// tasks to idle workers and runs the overflow on the calling goroutine, so
-// a query is never queued behind another query's tasks and the pool can
-// never deadlock: every task is independent and somebody always runs it.
-type Pool struct {
-	tasks  chan func()
-	quit   chan struct{}
-	wg     sync.WaitGroup
-	inline bool
-	closed atomic.Bool
+// NewPool ignores the worker count: there are no workers.
+func NewPool(int) *Pool { return &Pool{} }
 
-	// ran counts tasks executed; ranInline counts the subset that ran on
-	// the calling goroutine (overflow or inline mode). Their ratio shows
-	// whether the fan-out actually parallelizes or the pool is saturated.
-	ran       atomic.Int64
-	ranInline atomic.Int64
-}
-
-// NewPool starts a pool with n workers. With n <= 1 the pool runs in inline
-// mode: one worker adds no parallelism over the calling goroutine, so no
-// workers are spawned and Do degenerates to a loop — the right shape on a
-// single-core machine.
-func NewPool(n int) *Pool {
-	if n <= 1 {
-		return &Pool{inline: true}
-	}
-	p := &Pool{tasks: make(chan func()), quit: make(chan struct{})}
-	p.wg.Add(n)
+// Run calls fn(i) for every i in [0, n), in order, on the caller.
+func (*Pool) Run(n int, fn func(int)) {
 	for i := 0; i < n; i++ {
-		go func() {
-			defer p.wg.Done()
-			for {
-				select {
-				case f := <-p.tasks:
-					f()
-				case <-p.quit:
-					return
-				}
-			}
-		}()
-	}
-	return p
-}
-
-// Do runs every task and returns when all have finished. Tasks that find no
-// idle worker execute inline on the caller. After Close, everything runs
-// inline, so in-flight queries drain safely during shutdown.
-func (p *Pool) Do(tasks []func()) {
-	if len(tasks) == 1 {
-		if p != nil {
-			p.ran.Add(1)
-			p.ranInline.Add(1)
-		}
-		tasks[0]()
-		return
-	}
-	if p == nil || p.inline || p.closed.Load() {
-		if p != nil {
-			p.ran.Add(int64(len(tasks)))
-			p.ranInline.Add(int64(len(tasks)))
-		}
-		for _, t := range tasks {
-			t()
-		}
-		return
-	}
-	p.ran.Add(int64(len(tasks)))
-	var wg sync.WaitGroup
-	wg.Add(len(tasks))
-	for _, t := range tasks {
-		t := t
-		wrapped := func() { defer wg.Done(); t() }
-		select {
-		case p.tasks <- wrapped:
-		default:
-			p.ranInline.Add(1)
-			wrapped()
-		}
-	}
-	wg.Wait()
-}
-
-// runBatch is the reusable state of one Run call. Batches live in a pool
-// and bind their worker closure once at construction, so a steady-state Run
-// allocates nothing: the caller borrows a batch, points it at fn, and every
-// participant pulls indices off the shared atomic counter.
-type runBatch struct {
-	fn   func(int)
-	next atomic.Int64
-	n    int64
-	wg   sync.WaitGroup
-	run  func()
-}
-
-var runBatchPool = sync.Pool{New: func() any {
-	b := &runBatch{}
-	b.run = func() {
-		defer b.wg.Done()
-		for {
-			i := b.next.Add(1) - 1
-			if i >= b.n {
-				return
-			}
-			b.fn(int(i))
-		}
-	}
-	return b
-}}
-
-// Run invokes fn(i) for every i in [0, n) and returns when all calls have
-// finished. It is the allocation-free sibling of Do: indices are handed out
-// through a shared atomic counter (so idle workers steal from slow ones)
-// and the batch state comes from a pool, where Do needs a caller-built
-// []func() plus a wrapper closure per task. The caller participates in the
-// draining, so like Do, a Run never deadlocks and never waits behind
-// another query's tasks.
-func (p *Pool) Run(n int, fn func(int)) {
-	if n <= 0 {
-		return
-	}
-	if n == 1 || p == nil || p.inline || p.closed.Load() {
-		if p != nil {
-			p.ran.Add(int64(n))
-			p.ranInline.Add(int64(n))
-		}
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	p.ran.Add(int64(n))
-	b := runBatchPool.Get().(*runBatch)
-	b.fn = fn
-	b.n = int64(n)
-	b.next.Store(0)
-	// Offer at most n-1 helpers to idle workers; the first refused send
-	// means the pool is saturated and the caller will drain the rest.
-	for offered := 0; offered < n-1; offered++ {
-		b.wg.Add(1)
-		sent := false
-		select {
-		case p.tasks <- b.run:
-			sent = true
-		default:
-		}
-		if !sent {
-			b.wg.Done()
-			break
-		}
-	}
-	inline := int64(0)
-	for {
-		i := b.next.Add(1) - 1
-		if i >= b.n {
-			break
-		}
-		fn(int(i))
-		inline++
-	}
-	p.ranInline.Add(inline)
-	b.wg.Wait()
-	b.fn = nil
-	runBatchPool.Put(b)
-}
-
-// Counters returns the cumulative number of tasks executed and how many of
-// them ran inline on the calling goroutine.
-func (p *Pool) Counters() (ran, inline int64) {
-	if p == nil {
-		return 0, 0
-	}
-	return p.ran.Load(), p.ranInline.Load()
-}
-
-// Inline reports whether the pool executes everything on the caller.
-func (p *Pool) Inline() bool { return p == nil || p.inline || p.closed.Load() }
-
-// Close stops the workers. Idempotent; concurrent Do calls fall back to
-// inline execution.
-func (p *Pool) Close() {
-	if p.closed.CompareAndSwap(false, true) && !p.inline {
-		close(p.quit)
-		p.wg.Wait()
+		fn(i)
 	}
 }
+
+// Close does nothing: there is nothing to stop.
+func (*Pool) Close() {}

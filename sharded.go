@@ -20,8 +20,8 @@ import (
 
 // Sharded is the serving-layer counterpart of Index: it partitions the data
 // across N per-shard WaZI indexes with a workload-aware Z-order partitioner
-// (hotspot regions get more, smaller shards), executes queries by parallel
-// fan-out over only the shards whose bounds intersect the query, and adapts
+// (hotspot regions get more, smaller shards), executes queries by fanning
+// out over only the shards whose bounds intersect the query, and adapts
 // to workload drift by rebuilding drifted shards in the background and
 // hot-swapping them in.
 //
@@ -40,7 +40,6 @@ import (
 type Sharded struct {
 	snap atomic.Pointer[shardedSnapshot]
 	mu   sync.Mutex // serializes writers, compactions, and snapshot swaps
-	pool *shard.Pool
 	opts shardedConfig
 
 	// obs holds the hot-path instruments (fan-out, scan/rebuild/migration
@@ -248,26 +247,23 @@ func (r *queryRing) snapshot() []Rect {
 
 // shardedConfig collects ShardedOption values.
 type shardedConfig struct {
-	shards              int
-	workers             int
-	indexOpts           []Option
-	driftThreshold      float64
-	windowSize          int
-	compactThreshold    int
-	rebuildInterval     time.Duration
-	autoRebuild         bool
-	autoRepartition     bool
-	repartitionMaxSkew  float64
-	repartitionMinLoad  int
-	repartitionMaxDrift float64
-	storageDir          string
-	cachePages          int
-	noObs               bool
-	walDir              string
-	walSync             string
-	walGroupWindow      time.Duration
-	walSegmentBytes     int64
-	walFS               wal.FS
+	shards             int
+	indexOpts          []Option
+	driftThreshold     float64
+	windowSize         int
+	compactThreshold   int
+	rebuildInterval    time.Duration
+	autoRebuild        bool
+	autoRepartition    bool
+	repartitionMaxSkew float64
+	repartitionMinLoad int
+	storageDir         string
+	cachePages         int
+	noObs              bool
+	walDir             string
+	walSync            string
+	walSegmentBytes    int64
+	walFS              wal.FS
 }
 
 // ShardedOption customizes NewSharded.
@@ -276,8 +272,14 @@ type ShardedOption func(*shardedConfig)
 // WithShards sets the shard count (default: GOMAXPROCS, capped at 64).
 func WithShards(n int) ShardedOption { return func(c *shardedConfig) { c.shards = n } }
 
-// WithWorkers sets the fan-out worker-pool size (default: GOMAXPROCS).
-func WithWorkers(n int) ShardedOption { return func(c *shardedConfig) { c.workers = n } }
+// WithWorkers does nothing: a fan-out is a loop on the calling goroutine
+// (docs/SERVING.md, "Fan-out") and there is no worker pool left to size.
+//
+// Deprecated: the option survives only because benchmark/workloads.go, a
+// contract this repository's PRs may not edit, passes it; the next
+// benchmark-archetype PR drops that call and this function with it. Nothing
+// outside benchmark/ may use it.
+func WithWorkers(int) ShardedOption { return func(*shardedConfig) {} }
 
 // WithIndexOptions forwards options to every per-shard index build,
 // including drift rebuilds.
@@ -338,17 +340,6 @@ func WithRepartitionMinLoad(n int) ShardedOption {
 	return func(c *shardedConfig) { c.repartitionMinLoad = n }
 }
 
-// WithRepartitionMaxDrift sets the plan-drift level — total-variation
-// distance between the observed global workload histogram and the serving
-// plan's training workload — beyond which the control loop re-learns the
-// plan even without load imbalance (default 0.25: clearly above the ~0.1
-// sampling noise of two windows drawn from one distribution, and at the
-// low edge of real shifts — hotspot-shift's rank reversal measures
-// ~0.3 even through ring sampling).
-func WithRepartitionMaxDrift(d float64) ShardedOption {
-	return func(c *shardedConfig) { c.repartitionMaxDrift = d }
-}
-
 // WithShardedStorage puts every shard's leaf pages in a disk-resident page
 // file under dir (one file per shard per rebuild generation), each fronted
 // by a workload-aware block cache of cachePages pages (0 selects the
@@ -366,15 +357,8 @@ func WithShardedStorage(dir string, cachePages int) ShardedOption {
 }
 
 func (c *shardedConfig) fill() {
-	procs := runtime.GOMAXPROCS(0)
 	if c.shards <= 0 {
-		c.shards = procs
-		if c.shards > 64 {
-			c.shards = 64
-		}
-	}
-	if c.workers <= 0 {
-		c.workers = procs
+		c.shards = min(runtime.GOMAXPROCS(0), 64)
 	}
 	if c.driftThreshold <= 0 {
 		c.driftThreshold = 0.6
@@ -393,9 +377,6 @@ func (c *shardedConfig) fill() {
 	}
 	if c.repartitionMinLoad <= 0 {
 		c.repartitionMinLoad = 4096
-	}
-	if c.repartitionMaxDrift <= 0 {
-		c.repartitionMaxDrift = 0.25
 	}
 }
 
@@ -456,17 +437,11 @@ func NewSharded(points []Point, workload []Rect, opts ...ShardedOption) (*Sharde
 		ctl.advisor.Store(NewRebuildAdvisor(idx.Bounds(), shardQs, cfg.windowSize, cfg.driftThreshold))
 	}
 	s.snap.Store(snap)
-	s.pool = shard.NewPool(cfg.workers)
 	// Replay any WAL tail before the background loop starts: a cold build
 	// is deterministic in its inputs, so cold build + full replay recovers
 	// every acknowledged write even without a snapshot.
 	if err := s.initWAL(0); err != nil {
-		s.pool.Close()
-		for _, built := range snap.shards {
-			if built.idx != nil {
-				built.idx.Close()
-			}
-		}
+		s.closeStores()
 		return nil, err
 	}
 	if cfg.autoRebuild {
@@ -565,13 +540,13 @@ func intersectingQueries(workload []Rect, bounds Rect) []Rect {
 	return out
 }
 
-// Close stops the background control loop and the worker pool. For the
-// RAM-resident default, queries issued after Close still work (fan-out
-// degrades to inline execution) and writes remain valid, with compaction
-// running synchronously on the writing goroutine once a shard's backlog
-// overflows — as under WithoutAutoRebuild. Under WithShardedStorage, Close
-// additionally releases every shard's page file (current and retired), so
-// a disk-backed Sharded must not be used after Close.
+// Close stops the background control loop and seals the write-ahead log.
+// For the RAM-resident default, queries issued after Close still work and
+// writes remain valid, with compaction running synchronously on the writing
+// goroutine once a shard's backlog overflows — as under WithoutAutoRebuild.
+// Under WithShardedStorage, Close additionally releases every shard's page
+// file (current and retired), so a disk-backed Sharded must not be used
+// after Close.
 func (s *Sharded) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -585,20 +560,27 @@ func (s *Sharded) Close() {
 		s.wg.Wait()
 	}
 	s.closeWAL()
-	s.pool.Close()
-	if s.opts.storageDir != "" {
-		s.mu.Lock()
-		for _, ss := range s.snap.Load().shards {
-			if ss.idx != nil {
-				ss.idx.Close()
-			}
+	s.closeStores()
+}
+
+// closeStores releases the page file of every shard index of the live
+// snapshot and of every retired store — a no-op on RAM-resident shards.
+// Close ends with it, and a constructor whose WAL replay failed unwinds
+// through it: a replay long enough to overflow a shard's buffer has already
+// rebuilt that shard, so the files to release are the live snapshot's and
+// the retired ones, not the array built before the replay.
+func (s *Sharded) closeStores() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, ss := range s.snap.Load().shards {
+		if ss.idx != nil {
+			ss.idx.Close()
 		}
-		for _, c := range s.retiredStores {
-			c.Close()
-		}
-		s.retiredStores = nil
-		s.mu.Unlock()
 	}
+	for _, c := range s.retiredStores {
+		c.Close()
+	}
+	s.retiredStores = nil
 }
 
 // ---------------------------------------------------------------- queries
@@ -655,25 +637,14 @@ func (s *Sharded) countFromSnap(snap *shardedSnapshot, r Rect, tr *obs.QueryTrac
 	a.rectTargets(r)
 	a.observeWorkload()
 	s.obs.observeFanout(len(snap.shards), len(a.targets))
-	n := len(a.targets)
 	total := 0
-	switch {
-	case n == 0:
-	case n == 1 || s.pool.Inline():
-		for _, si := range a.targets {
-			t0, live := s.scanStart(tr)
-			c := shardCount(snap.shards[si], r)
-			if live {
-				s.endScan(tr, si, t0, c)
-			}
-			total += c
+	for _, si := range a.targets {
+		t0, live := s.scanStart(tr)
+		c := shardCount(snap.shards[si], r)
+		if live {
+			s.endScan(tr, si, t0, c)
 		}
-	default:
-		a.ensure(n)
-		s.pool.Run(n, a.countFn)
-		for _, c := range a.counts {
-			total += c
-		}
+		total += c
 	}
 	return total
 }

@@ -57,10 +57,6 @@ func newShardedObs() *ShardedObs {
 // WithoutObservability. The serving layer registers the bundle at startup.
 func (s *Sharded) Obs() *ShardedObs { return s.obs }
 
-// PoolCounters returns the fan-out worker pool's cumulative task count and
-// the subset that ran inline on the querying goroutine.
-func (s *Sharded) PoolCounters() (ran, inline int64) { return s.pool.Counters() }
-
 // observeFanout records one fan-out decision: width shards targeted out of
 // total. Nil-safe.
 func (o *ShardedObs) observeFanout(total, width int) {

@@ -363,13 +363,11 @@ func LoadSharded(r io.Reader, opts ...ShardedOption) (*Sharded, error) {
 	}
 	s.planRef = queryHist(snap.plan.Bounds(), allRecent)
 	s.snap.Store(snap)
-	s.pool = shard.NewPool(cfg.workers)
 	// Replay the WAL tail past the snapshot's cut before serving: the
 	// snapshot holds everything up to WALSeq, the log everything
 	// acknowledged after it.
 	if err := s.initWAL(h.WALSeq); err != nil {
-		s.pool.Close()
-		closeLoaded()
+		s.closeStores()
 		return nil, err
 	}
 	if cfg.autoRebuild {

@@ -3,6 +3,7 @@ package wazi_test
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -357,6 +358,97 @@ func TestShardedConcurrent(t *testing.T) {
 	st := s.Stats()
 	if st.RangeQueries == 0 || st.Inserts == 0 {
 		t.Error("stats not recorded under concurrency")
+	}
+}
+
+// TestShardedFanoutIsALoop pins what a fan-out over every shard guarantees
+// now that it runs on the caller: the prefix handed to RangeQueryAppend
+// survives, shards append in plan order, the answer is brute force's, and
+// RangeCount agrees — with tombstones and a non-empty insert buffer on two
+// of the shards, and eight readers at once (meaningful under -race).
+func TestShardedFanoutIsALoop(t *testing.T) {
+	pts := testData(6000, 93)
+	s := newTestSharded(t, pts, testWorkload(200, 94), wazi.WithShards(4),
+		wazi.WithoutAutoRebuild(), wazi.WithoutAutoRepartition())
+	var live []wazi.Point
+	written := map[int]int{}
+	for _, p := range pts {
+		if sh := s.ShardOf(p); (sh == 0 || sh == 2) && written[sh] < 40 {
+			written[sh]++
+			if written[sh]%2 == 0 {
+				if !s.Delete(p) {
+					t.Fatalf("Delete(%v) of an indexed point failed", p)
+				}
+				continue
+			}
+			s.Insert(p) // a duplicate routes to the shard that owns p
+			live = append(live, p)
+		}
+		live = append(live, p)
+	}
+	for _, sh := range []int{0, 2} {
+		if info := s.Shards()[sh]; info.Backlog != 40 || info.Rebuilds != 0 {
+			t.Fatalf("shard %d: backlog %d after %d rebuilds, want 20 tombstones + 20 buffered inserts", sh, info.Backlog, info.Rebuilds)
+		}
+	}
+	all := wazi.Rect{MinX: -1, MinY: -1, MaxX: 2, MaxY: 2}
+	prefix := []wazi.Point{{X: 7, Y: 7}, {X: 8, Y: 8}}
+	results := make([][]wazi.Point, 8)
+	counts := make([]int, len(results))
+	var wg sync.WaitGroup
+	for g := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				results[g] = s.RangeQueryAppend(append(results[g][:0], prefix...), all)
+				counts[g] = s.RangeCount(all)
+			}
+		}()
+	}
+	wg.Wait()
+	for g, got := range results {
+		if len(got) < len(prefix) || got[0] != prefix[0] || got[1] != prefix[1] {
+			t.Fatalf("reader %d: prefix not preserved", g)
+		}
+		got = got[len(prefix):]
+		assertSame(t, got, live, "full-domain fan-out vs brute force")
+		if counts[g] != len(got) {
+			t.Fatalf("reader %d: RangeCount = %d, RangeQueryAppend appended %d", g, counts[g], len(got))
+		}
+		seen, last := 0, -1
+		for _, p := range got {
+			sh := s.ShardOf(p)
+			if sh < last {
+				t.Fatalf("reader %d: shard %d's points follow shard %d's", g, sh, last)
+			}
+			if sh > last {
+				seen, last = seen+1, sh
+			}
+		}
+		if seen != s.NumShards() {
+			t.Fatalf("reader %d: answer drew on %d shards, want all %d", g, seen, s.NumShards())
+		}
+	}
+}
+
+// TestShardedStartsNoGoroutine: with both control loops off a Sharded is
+// plain data — construction starts no goroutine at any GOMAXPROCS, whatever
+// the deprecated WithWorkers asks for, and Close has nothing to stop.
+func TestShardedStartsNoGoroutine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	before := runtime.NumGoroutine()
+	s, err := wazi.NewSharded(testData(2000, 95), testWorkload(50, 96), wazi.WithShards(4),
+		wazi.WithWorkers(8), wazi.WithoutAutoRebuild(), wazi.WithoutAutoRepartition())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Errorf("NewSharded left %d goroutines running, %d before it", got, before)
+	}
+	s.Close()
+	if got := runtime.NumGoroutine(); got > before {
+		t.Errorf("%d goroutines after Close, %d before NewSharded", got, before)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"time"
 
 	"github.com/wazi-index/wazi/internal/wal"
 )
@@ -30,13 +29,6 @@ func WithWAL(dir string) ShardedOption {
 // not power loss). An unknown policy fails NewSharded/LoadSharded.
 func WithWALSync(policy string) ShardedOption {
 	return func(c *shardedConfig) { c.walSync = policy }
-}
-
-// WithWALGroupWindow delays the group-commit leader by d before its fsync,
-// widening batches at the cost of write latency. The default 0 relies on
-// natural batching under concurrency.
-func WithWALGroupWindow(d time.Duration) ShardedOption {
-	return func(c *shardedConfig) { c.walGroupWindow = d }
 }
 
 // WithWALSegmentBytes sets the WAL segment rotation threshold (default
@@ -116,8 +108,8 @@ func (s *Sharded) walAck(seq uint64) {
 
 // initWAL opens the log and replays every record past afterSeq through the
 // normal write path (the same replay idiom PR 5's migrations use), with
-// re-logging suppressed. Called during construction after the snapshot and
-// pool exist but before the background loop starts, so no concurrency.
+// re-logging suppressed. Called during construction after the snapshot
+// exists but before the background loop starts, so no concurrency.
 func (s *Sharded) initWAL(afterSeq uint64) error {
 	if s.opts.walDir == "" {
 		return nil
@@ -129,7 +121,6 @@ func (s *Sharded) initWAL(afterSeq uint64) error {
 	w, err := wal.Open(wal.Options{
 		Dir:          s.opts.walDir,
 		Sync:         sync,
-		GroupWindow:  s.opts.walGroupWindow,
 		SegmentBytes: s.opts.walSegmentBytes,
 		FS:           s.opts.walFS,
 	})

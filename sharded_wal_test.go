@@ -3,8 +3,13 @@ package wazi
 import (
 	"bytes"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
+
+	"github.com/wazi-index/wazi/internal/wal"
 )
 
 // walTestPoints builds a deterministic base dataset.
@@ -17,15 +22,18 @@ func walTestPoints(n int, seed int64) []Point {
 	return pts
 }
 
-// buildWALSharded builds a small Sharded with a WAL in dir.
-func buildWALSharded(t *testing.T, pts []Point, dir string, extra ...ShardedOption) *Sharded {
-	t.Helper()
-	opts := append([]ShardedOption{
+func walShardedOptions(dir string) []ShardedOption {
+	return []ShardedOption{
 		WithShards(4), WithoutAutoRebuild(),
 		WithIndexOptions(WithLeafSize(64), WithSeed(7), WithExactCounts()),
 		WithWAL(dir), WithWALSync("group"),
-	}, extra...)
-	s, err := NewSharded(pts, nil, opts...)
+	}
+}
+
+// buildWALSharded builds a small Sharded with a WAL in dir.
+func buildWALSharded(t *testing.T, pts []Point, dir string, extra ...ShardedOption) *Sharded {
+	t.Helper()
+	s, err := NewSharded(pts, nil, append(walShardedOptions(dir), extra...)...)
 	if err != nil {
 		t.Fatalf("NewSharded: %v", err)
 	}
@@ -73,6 +81,59 @@ func TestWALColdRestartRecoversWrites(t *testing.T) {
 	// The replayed writes were not re-logged: appends since restart is 0.
 	if rst.Appends != 0 {
 		t.Fatalf("recovery re-logged %d records", rst.Appends)
+	}
+}
+
+// TestWALReplayFailureReleasesRebuiltShards: a log that overflows one
+// shard's buffer rebuilds that shard while it replays, so a replay that then
+// fails must unwind through the live snapshot and the retired stores — the
+// shard array built before the replay no longer names the rebuilt shard's
+// page file.
+func TestWALReplayFailureReleasesRebuiltShards(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("counts open descriptors through /proc/self/fd")
+	}
+	root, err := filepath.EvalSymlinks(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	walDir, pages := filepath.Join(root, "wal"), filepath.Join(root, "pages")
+	base := walTestPoints(500, 31)
+	disk := []ShardedOption{WithShardedStorage(pages, 16), WithCompactThreshold(64)}
+	s := buildWALSharded(t, base, walDir, disk...)
+	for i := 0; i < 64; i++ {
+		s.Insert(base[0]) // duplicates all route to the shard that owns base[0]
+	}
+	if s.Rebuilds() != 1 {
+		t.Fatalf("%d rebuilds after overflowing one shard's buffer, want 1", s.Rebuilds())
+	}
+	s.Close()
+
+	// One record the log accepts (its CRC is valid) and the replay cannot
+	// decode.
+	w, err := wal.Open(wal.Options{Dir: walDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Append([]byte{0xff}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = NewSharded(base, nil, append(walShardedOptions(walDir), disk...)...)
+	if err == nil || !strings.Contains(err.Error(), "replaying wal") {
+		t.Fatalf("NewSharded over an undecodable record: err = %v, want a replay error", err)
+	}
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fd := range fds {
+		if target, _ := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); strings.HasPrefix(target, pages) {
+			t.Errorf("failed replay left %s open", target)
+		}
 	}
 }
 

@@ -50,6 +50,49 @@ func (m *metricsSnap) value(name string) float64 {
 	return 0
 }
 
+// routeValue returns the sample called name in family fam whose route label
+// is route and, when phase is not empty, whose phase label is phase; 0 when
+// absent.
+func (m *metricsSnap) routeValue(fam, name, route, phase string) float64 {
+	f, ok := m.fams[fam]
+	if !ok {
+		return 0
+	}
+	for _, s := range f.Samples {
+		if s.Name == name && s.Labels["route"] == route && s.Labels["phase"] == phase {
+			return s.Value
+		}
+	}
+	return 0
+}
+
+// phaseRows is the latency budget of the window: for every route that
+// served requests in it, one row per phase — mean µs per request, and the
+// phase's share of the route's handler wall time — in the server's own
+// order, which puts unattributed last.
+func phaseRows(before, after *metricsSnap) [][]string {
+	const phases, wall = "wazi_request_phase_seconds_total", "wazi_http_request_seconds"
+	f, ok := after.fams[phases]
+	if !ok {
+		return nil
+	}
+	var rows [][]string
+	for _, s := range f.Samples {
+		route, phase := s.Labels["route"], s.Labels["phase"]
+		reqs := after.routeValue(wall, wall+"_count", route, "") - before.routeValue(wall, wall+"_count", route, "")
+		sum := after.routeValue(wall, wall+"_sum", route, "") - before.routeValue(wall, wall+"_sum", route, "")
+		if reqs <= 0 || sum <= 0 {
+			continue
+		}
+		d := s.Value - before.routeValue(phases, phases, route, phase)
+		rows = append(rows, []string{
+			fmt.Sprintf("%s %s (µs/request, share)", route, phase),
+			fmt.Sprintf("%.2f (%.1f%%)", d/reqs*1e6, 100*d/sum),
+		})
+	}
+	return rows
+}
+
 // histogram collapses a histogram family's cumulative _bucket samples
 // (summed across label sets, e.g. routes) into ascending per-bucket counts
 // ready for obs.QuantileFromBuckets, plus the total observation count.
@@ -148,6 +191,7 @@ func serverMetricsTable(before, after *metricsSnap) harness.Table {
 		{"slow queries", fmt.Sprintf("%.0f", after.value("wazi_slowlog_recorded_total")-before.value("wazi_slowlog_recorded_total"))},
 		{"profile captures", fmt.Sprintf("%.0f", after.value("wazi_profile_captures_total")-before.value("wazi_profile_captures_total"))},
 	}
+	rows = append(rows, phaseRows(before, after)...)
 	return harness.Table{
 		ID:     "server-metrics",
 		Title:  "server-side metrics scraped from /metrics (deltas over the run)",
@@ -156,6 +200,7 @@ func serverMetricsTable(before, after *metricsSnap) harness.Table {
 		Notes: []string{
 			"Quantiles are interpolated from histogram bucket deltas between the pre- and post-run scrape.",
 			"heap/goroutines are point-in-time values at the final scrape.",
+			"Phase rows split each route's handler wall time (wazi_http_request_seconds_sum) by wazi_request_phase_seconds_total; a route's shares sum to 100%.",
 		},
 	}
 }

@@ -71,3 +71,32 @@ func TestRuntimePauseHook(t *testing.T) {
 		t.Fatalf("hook saw pause %v, want > 0", last)
 	}
 }
+
+func TestRuntimeSampler(t *testing.T) {
+	r := NewRuntime()
+	before := r.Sample()
+	runtime.GC()
+	r.last = time.Time{} // expire the TTL cache deterministically
+	after := r.Sample()
+	if after.NumGC <= before.NumGC {
+		t.Fatalf("NumGC did not advance: %d -> %d", before.NumGC, after.NumGC)
+	}
+	if r.PauseHistogram().Count() == 0 {
+		t.Fatal("GC pause histogram not fed after a forced GC")
+	}
+
+	reg := NewRegistry()
+	r.Register(reg)
+	snap := reg.Snapshot()
+	for _, name := range []string{
+		"wazi_go_heap_alloc_bytes", "wazi_go_goroutines",
+		"wazi_go_gc_cycles_total", "wazi_go_gc_pause_seconds",
+	} {
+		if snap.Get(name) == nil {
+			t.Fatalf("runtime metric %s not registered", name)
+		}
+	}
+	if snap.Get("wazi_go_heap_alloc_bytes").Value <= 0 {
+		t.Fatal("heap_alloc gauge should be positive")
+	}
+}

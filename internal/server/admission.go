@@ -32,15 +32,15 @@ func newGate(maxInflight, maxQueue int) *gate {
 }
 
 // acquire admits the caller or returns errShed (queue full) or the context
-// error (client gave up while queued). On success the returned release
-// function must be called exactly once.
-func (g *gate) acquire(ctx context.Context) (release func(), err error) {
+// error (client gave up while queued). On success release must be called
+// exactly once.
+func (g *gate) acquire(ctx context.Context) error {
 	select {
 	case g.sem <- struct{}{}:
 	default:
 		if g.queued.Load() >= g.maxQueue {
 			g.shed.Add(1)
-			return nil, errShed
+			return errShed
 		}
 		g.queued.Add(1)
 		select {
@@ -48,13 +48,16 @@ func (g *gate) acquire(ctx context.Context) (release func(), err error) {
 			g.queued.Add(-1)
 		case <-ctx.Done():
 			g.queued.Add(-1)
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
 	}
 	g.inflight.Add(1)
 	g.admitted.Add(1)
-	return func() {
-		g.inflight.Add(-1)
-		<-g.sem
-	}, nil
+	return nil
+}
+
+// release gives back the slot of one successful acquire.
+func (g *gate) release() {
+	g.inflight.Add(-1)
+	<-g.sem
 }

@@ -116,33 +116,16 @@ func prepare(ops []workload.WireOp, batch int) ([]prepared, error) {
 		return out, nil
 	}
 	for _, op := range ops {
-		// Bodies reuse the handlers' own request types, so client and server
-		// can never drift apart on the wire shapes.
-		var (
-			path string
-			v    any
-		)
-		switch op.Op {
-		case workload.WireRange:
-			path, v = "/v1/range", rectReq{Rect: op.Rect}
-		case workload.WireCount:
-			path, v = "/v1/count", rectReq{Rect: op.Rect}
-		case workload.WirePoint:
-			path, v = "/v1/point", pointReq{Point: op.Point}
-		case workload.WireKNN:
-			path, v = "/v1/knn", knnReq{Point: op.Point, K: op.K}
-		case workload.WireInsert:
-			path, v = "/v1/insert", pointReq{Point: op.Point}
-		case workload.WireDelete:
-			path, v = "/v1/delete", pointReq{Point: op.Point}
-		default:
-			return nil, fmt.Errorf("loadgen: op %q not replayable", op.Op)
+		// A single-op body is the WireOp itself, the shape the handlers
+		// decode; the route is its kind.
+		if err := op.Validate(); err != nil {
+			return nil, fmt.Errorf("loadgen: op not replayable: %w", err)
 		}
-		body, err := json.Marshal(v)
+		body, err := json.Marshal(op)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, prepared{path: path, body: body, ops: 1})
+		out = append(out, prepared{path: "/v1/" + op.Op, body: body, ops: 1})
 	}
 	return out, nil
 }

@@ -5,17 +5,18 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	wazi "github.com/wazi-index/wazi"
 	"github.com/wazi-index/wazi/internal/obs"
+	"github.com/wazi-index/wazi/internal/workload"
 )
 
 // This file wires the obs instruments into the serving layer: the metrics
-// registry behind /metrics and /statsz, per-route latency histograms, the
-// slow-query log behind /debug/slowlog, optional pprof, and the periodic
+// registry behind /metrics and /statsz, per-route latency histograms and
+// phase counters, the slow log behind /debug/slowlog, optional pprof, and the periodic
 // one-line ops summary waziserve logs.
 
 // obsBackend is the optional backend surface the registry scrapes shard-
@@ -25,8 +26,22 @@ type obsBackend interface {
 	Obs() *wazi.ShardedObs
 }
 
-// routes are the op endpoints, by histogram label.
-var routes = []string{"range", "count", "point", "knn", "insert", "delete", "batch"}
+// routes are the op endpoints: the path under /v1/, the route label of every
+// per-route series and, for the six single-op routes, the wire kind served.
+var routes = []string{
+	workload.WireRange, workload.WireCount, workload.WirePoint, workload.WireKNN,
+	workload.WireInsert, workload.WireDelete, "batch",
+}
+
+// routeObs is one route's instruments, resolved once so that folding a
+// request takes no registry lookup.
+type routeObs struct {
+	hist    *obs.Histogram
+	ok      *obs.Counter // wazi_http_requests_total{code="200"}
+	phaseNS [obs.NPhases]atomic.Int64
+}
+
+const requestsTotal = "wazi_http_requests_total"
 
 // initObs builds the registry and registers every layer's instruments.
 // Called once from New.
@@ -36,11 +51,22 @@ func (s *Server) initObs() {
 	s.rt = obs.NewRuntime()
 	s.slow = obs.NewSlowLog(s.cfg.SlowLogSize, s.cfg.SlowQueryThreshold)
 
-	s.routeHist = make(map[string]*obs.Histogram, len(routes))
-	for _, route := range routes {
-		s.routeHist[route] = reg.Histogram("wazi_http_request_seconds",
+	s.routes = make([]routeObs, len(routes))
+	for i, route := range routes {
+		ro := &s.routes[i]
+		ro.hist = reg.Histogram("wazi_http_request_seconds",
 			"HTTP request latency by route, admission wait included.",
 			obs.DefBuckets(), obs.L("route", route))
+		ro.ok = reg.Counter(requestsTotal, "HTTP requests by route and status code.", obs.L("route", route), obs.L("code", "200"))
+		// Counters, not histograms: a budget is a sum, and the outliers live
+		// in the slow log.
+		for p := range ro.phaseNS {
+			ns := &ro.phaseNS[p]
+			reg.CounterFunc("wazi_request_phase_seconds_total",
+				"Handler wall time by route and phase; the phases of a route sum to its wazi_http_request_seconds_sum.",
+				func() float64 { return time.Duration(ns.Load()).Seconds() },
+				obs.L("route", route), obs.L("phase", obs.Phase(p).String()))
+		}
 	}
 	s.reqAll = obs.NewHistogram(obs.DefBuckets())
 
@@ -58,7 +84,7 @@ func (s *Server) initObs() {
 	s.panics = reg.Counter("wazi_http_panics_total", "Handler panics answered with 500.")
 	// Monotonic since start, so a counter — a scraper can rate() it; as a
 	// gauge the _total name would lie about resets.
-	reg.CounterFunc("wazi_slowlog_recorded_total", "Slow queries recorded since start.",
+	reg.CounterFunc("wazi_slowlog_recorded_total", "Slow requests recorded since start.",
 		func() float64 { return float64(s.slow.Recorded()) })
 
 	// Backend shape and progress.
@@ -165,29 +191,6 @@ func (s *Server) registerProfileMetrics() {
 // embedding extra process-level series before serving.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// SlowLog returns the server's slow-query log.
-func (s *Server) SlowLog() *obs.SlowLog { return s.slow }
-
-// status counts one finished request by route and status code.
-func (s *Server) status(route string, code int) {
-	s.reg.Counter("wazi_http_requests_total", "HTTP requests by route and status code.",
-		obs.L("route", route), obs.L("code", strconv.Itoa(code))).Inc()
-}
-
-// statusRecorder captures the status code a handler wrote, and whether it
-// wrote one: every response in this package goes out through writeJSON,
-// which sets the header first.
-type statusRecorder struct {
-	http.ResponseWriter
-	code  int
-	wrote bool
-}
-
-func (w *statusRecorder) WriteHeader(code int) {
-	w.code, w.wrote = code, true
-	w.ResponseWriter.WriteHeader(code)
-}
-
 // ---------------------------------------------------------------- endpoints
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -203,9 +206,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // slowlogResp is the JSON shape of /debug/slowlog.
 type slowlogResp struct {
-	ThresholdNS int64               `json:"threshold_ns"`
-	Recorded    int64               `json:"recorded"`
-	Traces      []obs.TraceSnapshot `json:"traces"`
+	ThresholdNS int64           `json:"threshold_ns"`
+	Recorded    int64           `json:"recorded"`
+	Entries     []obs.SlowEntry `json:"entries"`
 }
 
 func (s *Server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
@@ -215,9 +218,9 @@ func (s *Server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, slowlogResp{
-		ThresholdNS: int64(s.slow.Threshold()),
+		ThresholdNS: int64(s.cfg.SlowQueryThreshold),
 		Recorded:    s.slow.Recorded(),
-		Traces:      s.slow.Snapshot(),
+		Entries:     s.slow.Snapshot(),
 	})
 }
 

@@ -6,9 +6,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	wazi "github.com/wazi-index/wazi"
 	"github.com/wazi-index/wazi/internal/dataset"
@@ -163,19 +165,10 @@ func TestMetricsStatszConcurrentWithWrites(t *testing.T) {
 
 // TestSlowQueryLoggedWithSpans serves a disk-backed index with a tiny block
 // cache, records every request (negative threshold), and asserts a wide
-// range query lands in /debug/slowlog with spans from three distinct
-// layers of the fan-out: admission gate, per-shard scans, and the page
-// store.
+// range query lands in /debug/slowlog with time in three distinct layers of
+// the read path: admission gate, shard scans, and the page store.
 func TestSlowQueryLoggedWithSpans(t *testing.T) {
-	pts := dataset.Generate(dataset.NewYork, 6000, 1)
-	train := workload.Skewed(dataset.NewYork, 100, 0.0256e-2, 2)
-	idx, err := wazi.NewSharded(pts, train, wazi.WithShards(4), wazi.WithoutAutoRebuild(),
-		wazi.WithShardedStorage(t.TempDir(), 2), wazi.WithIndexOptions(wazi.WithLeafSize(64)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer idx.Close()
-	srv := New(Sharded(idx), Config{SlowQueryThreshold: -1})
+	srv, _ := newDiskServer(t, 2, Config{SlowQueryThreshold: -1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -189,36 +182,171 @@ func TestSlowQueryLoggedWithSpans(t *testing.T) {
 		t.Fatalf("/debug/slowlog status = %d", slowCode)
 	}
 	var slow struct {
-		Recorded int64               `json:"recorded"`
-		Traces   []obs.TraceSnapshot `json:"traces"`
+		Recorded int64 `json:"recorded"`
+		Entries  []struct {
+			Route  string           `json:"route"`
+			Code   int              `json:"code"`
+			Phases map[string]int64 `json:"phases"`
+		} `json:"entries"`
 	}
 	if err := json.Unmarshal(body, &slow); err != nil {
 		t.Fatalf("decoding /debug/slowlog: %v", err)
 	}
-	if slow.Recorded == 0 || len(slow.Traces) == 0 {
-		t.Fatalf("slowlog empty: recorded=%d traces=%d", slow.Recorded, len(slow.Traces))
+	if slow.Recorded != 1 || len(slow.Entries) != 1 {
+		t.Fatalf("slowlog: recorded=%d entries=%d, want the one range request", slow.Recorded, len(slow.Entries))
 	}
-	var rangeTrace *obs.TraceSnapshot
-	for i := range slow.Traces {
-		if slow.Traces[i].Op == "range" {
-			rangeTrace = &slow.Traces[i]
-			break
+	e := slow.Entries[0]
+	if e.Route != "range" || e.Code != http.StatusOK {
+		t.Fatalf("slowlog entry is %s/%d, want range/200", e.Route, e.Code)
+	}
+	for _, want := range []string{"admission_ns", "scan_ns", "pagestore_ns", "scans", "results", "page_reads"} {
+		if e.Phases[want] <= 0 {
+			t.Errorf("slow range entry has %s = %d, want > 0 (got %v)", want, e.Phases[want], e.Phases)
 		}
 	}
-	if rangeTrace == nil {
-		t.Fatalf("no range trace in slowlog: %+v", slow.Traces)
+}
+
+// newDiskServer serves a 4-shard index on page files whose block cache holds
+// cachePages pages per shard.
+func newDiskServer(t *testing.T, cachePages int, cfg Config) (*Server, *wazi.Sharded) {
+	t.Helper()
+	pts := dataset.Generate(dataset.NewYork, 6000, 1)
+	train := workload.Skewed(dataset.NewYork, 100, 0.0256e-2, 2)
+	idx, err := wazi.NewSharded(pts, train, wazi.WithShards(4), wazi.WithoutAutoRebuild(),
+		wazi.WithShardedStorage(t.TempDir(), cachePages), wazi.WithIndexOptions(wazi.WithLeafSize(64)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	layers := map[string]bool{}
-	for _, sp := range rangeTrace.Spans {
-		layers[sp.Name] = true
+	t.Cleanup(idx.Close)
+	return New(Sharded(idx), cfg), idx
+}
+
+// serveOnce runs one request through the handler tree on the caller's
+// goroutine, so the request's record is folded before it returns.
+func serveOnce(srv *Server, path, body string) int {
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+	return rec.Code
+}
+
+// TestPhasesSumToWall: whatever the route and the status, the phases of a
+// request's record sum to its wall time to the nanosecond, and each kind of
+// work lands in the phase that names it.
+func TestPhasesSumToWall(t *testing.T) {
+	srv, _ := newDiskServer(t, 2, Config{SlowQueryThreshold: -1})
+	const rect = `{"MinX":-180,"MinY":-90,"MaxX":180,"MaxY":90}`
+	const point = `{"X":-73.9,"Y":40.7}`
+	for _, tt := range []struct {
+		path, body string
+		code       int
+		check      func(t *testing.T, ph obs.Phases)
+	}{
+		{"/v1/range", `{"rect":` + rect + `}`, 200, func(t *testing.T, ph obs.Phases) {
+			if ph.NS[obs.PhaseScan] <= 0 || ph.NS[obs.PhasePagestore] <= 0 || ph.NS[obs.PhaseEncode] <= 0 || ph.NS[obs.PhaseWrite] != 0 {
+				t.Errorf("range phases %+v: want scan, pagestore, encode > 0 and write = 0", ph)
+			}
+		}},
+		{"/v1/count", `{"rect":` + rect + `}`, 200, nil},
+		{"/v1/point", `{"point":` + point + `}`, 200, nil},
+		{"/v1/knn", `{"point":` + point + `,"k":5}`, 200, nil},
+		{"/v1/insert", `{"point":` + point + `}`, 200, func(t *testing.T, ph obs.Phases) {
+			if ph.NS[obs.PhaseWrite] <= 0 || ph.NS[obs.PhaseScan] != 0 || ph.NS[obs.PhaseFanout] != 0 || ph.Scans != 0 {
+				t.Errorf("insert phases %+v: want write > 0 and no read phase", ph)
+			}
+		}},
+		{"/v1/delete", `{"point":` + point + `}`, 200, nil},
+		{"/v1/batch", `{"ops":[{"op":"count","rect":` + rect + `},{"op":"insert","point":` + point + `},{"op":"knn","point":` + point + `,"k":3}]}`, 200,
+			func(t *testing.T, ph obs.Phases) {
+				if ph.NS[obs.PhaseWrite] <= 0 || ph.NS[obs.PhaseScan] <= 0 || ph.Scans < 5 {
+					t.Errorf("mixed batch phases %+v: want write and scan > 0 and >= 5 scans", ph)
+				}
+			}},
+		{"/v1/range", `{"rect":`, 400, func(t *testing.T, ph obs.Phases) {
+			if ph.NS[obs.PhaseDecode] <= 0 || ph.NS[obs.PhaseFanout] != 0 {
+				t.Errorf("malformed body phases %+v: want decode > 0 and nothing executed", ph)
+			}
+		}},
+	} {
+		t.Run(strings.TrimPrefix(tt.path, "/v1/")+fmt.Sprint(tt.code), func(t *testing.T) {
+			if code := serveOnce(srv, tt.path, tt.body); code != tt.code {
+				t.Fatalf("status = %d, want %d", code, tt.code)
+			}
+			e := srv.slow.Snapshot()[0]
+			if e.Route != strings.TrimPrefix(tt.path, "/v1/") || e.Code != tt.code {
+				t.Fatalf("newest slow-log entry is %s/%d", e.Route, e.Code)
+			}
+			var sum int64
+			for p, ns := range e.Phases.NS {
+				if ns < 0 {
+					t.Errorf("phase %v = %d ns, want >= 0", obs.Phase(p), ns)
+				}
+				sum += ns
+			}
+			if sum != e.TotalNS || e.TotalNS <= 0 {
+				t.Errorf("phases sum to %d ns, total is %d ns: %+v", sum, e.TotalNS, e.Phases)
+			}
+			if tt.check != nil {
+				tt.check(t, e.Phases)
+			}
+		})
 	}
-	if len(layers) < 3 {
-		t.Fatalf("slow query trace has %d distinct span layers (%v), want >= 3", len(layers), layers)
+
+	// Time inside the read call that no shard scan clocked is fanout — all of
+	// it, on a double that cannot keep time.
+	b, _ := newTestBackend(t)
+	slow := &blockingBackend{Backend: b, gate: make(chan struct{}), delay: 20 * time.Millisecond}
+	close(slow.gate)
+	srv = New(slow, Config{SlowQueryThreshold: -1})
+	if code := serveOnce(srv, "/v1/count", wholeUnitRect); code != 200 {
+		t.Fatalf("count on the sleeping backend answered %d", code)
 	}
-	for _, want := range []string{"admission", "shard_scan", "pagestore"} {
-		if !layers[want] {
-			t.Errorf("slow query trace missing %q span (got %v)", want, layers)
+	if e := srv.slow.Snapshot()[0]; e.Phases.NS[obs.PhaseFanout] < int64(20*time.Millisecond) {
+		t.Errorf("fanout = %d ns around a 20 ms read", e.Phases.NS[obs.PhaseFanout])
+	}
+}
+
+// discardWriter is an http.ResponseWriter that keeps nothing.
+type discardWriter struct{ h http.Header }
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w *discardWriter) WriteHeader(int)             {}
+
+// TestHandlerAllocsPerRequest ratchets the heap allocations of one request
+// through the handler tree, JSON decode and encode included, on a warm
+// disk-backed index. The ceilings are what this tree measures; a change
+// that lowers a count lowers its ceiling.
+func TestHandlerAllocsPerRequest(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("sync.Pool drops a quarter of its Puts under the race detector: pooled records miss")
+			}
 		}
+	}
+	srv, _ := newDiskServer(t, 4096, Config{})
+	h := srv.Handler()
+	for _, tt := range []struct {
+		path, body string
+		max        float64
+	}{
+		{"/v1/range", `{"rect":{"MinX":-74.0,"MinY":40.70,"MaxX":-73.98,"MaxY":40.72}}`, 14},
+		{"/v1/count", `{"rect":{"MinX":-74.0,"MinY":40.70,"MaxX":-73.98,"MaxY":40.72}}`, 13},
+		{"/v1/point", `{"point":{"X":-73.9,"Y":40.7}}`, 13},
+		{"/v1/knn", `{"point":{"X":-73.9,"Y":40.7},"k":8}`, 14},
+		{"/v1/insert", `{"point":{"X":-73.9,"Y":40.7}}`, 16},
+	} {
+		body := strings.NewReader(tt.body)
+		req := httptest.NewRequest(http.MethodPost, tt.path, body)
+		w := &discardWriter{h: http.Header{}}
+		got := testing.AllocsPerRun(200, func() {
+			body.Reset(tt.body)
+			h.ServeHTTP(w, req)
+		})
+		if got > tt.max {
+			t.Errorf("%s: %.0f allocs per request, ceiling %.0f", tt.path, got, tt.max)
+		}
+		t.Logf("%s: %.0f allocs per request", tt.path, got)
 	}
 }
 

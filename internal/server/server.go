@@ -36,6 +36,7 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,15 +48,12 @@ import (
 
 // ReadView is one consistent read pass over the index: every query through
 // one ReadView observes the same immutable snapshot. wazi.View implements
-// it. The Append variants exist so the handlers can cycle pooled response
-// buffers through the index instead of allocating a result slice per
-// request.
+// it. Range and kNN answers are appended, so the handlers cycle one pooled
+// buffer per request through the index instead of allocating result slices.
 type ReadView interface {
-	RangeQuery(r wazi.Rect) []wazi.Point
 	RangeQueryAppend(dst []wazi.Point, r wazi.Rect) []wazi.Point
 	RangeCount(r wazi.Rect) int
 	PointQuery(p wazi.Point) bool
-	KNN(q wazi.Point, k int) []wazi.Point
 	KNNAppend(dst []wazi.Point, q wazi.Point, k int) []wazi.Point
 }
 
@@ -105,11 +103,11 @@ type Config struct {
 	// DrainTimeout bounds graceful shutdown's wait for in-flight requests
 	// (default 10s).
 	DrainTimeout time.Duration
-	// SlowQueryThreshold is the total request duration at which a traced
-	// request enters the slow-query log at /debug/slowlog (default 250ms).
-	// Negative records every request (useful in tests).
+	// SlowQueryThreshold is the total duration at which a /v1 request,
+	// whatever its status, enters the slow log at /debug/slowlog (default
+	// 250ms). Negative records every request (useful in tests).
 	SlowQueryThreshold time.Duration
-	// SlowLogSize bounds the slow-query ring buffer (default 128).
+	// SlowLogSize bounds the slow log's ring buffer (default 128).
 	SlowLogSize int
 	// Pprof mounts net/http/pprof under /debug/pprof/ when set.
 	Pprof bool
@@ -187,15 +185,15 @@ type Server struct {
 	ops   atomic.Int64 // logical index operations served (batch ops count individually)
 
 	// Observability (obs.go): registry behind /metrics and /statsz, runtime
-	// sampler, slow-query log, per-route latency histograms, and the
-	// all-routes aggregate StatsLine windows over.
-	reg       *obs.Registry
-	rt        *obs.Runtime
-	slow      *obs.SlowLog
-	routeHist map[string]*obs.Histogram
-	reqAll    *obs.Histogram
-	panics    *obs.Counter
-	lastLine  lineWindow
+	// sampler, slow log, per-route instruments, and the all-routes aggregate
+	// StatsLine windows over.
+	reg      *obs.Registry
+	rt       *obs.Runtime
+	slow     *obs.SlowLog
+	routes   []routeObs // indexed like routes
+	reqAll   *obs.Histogram
+	panics   *obs.Counter
+	lastLine lineWindow
 
 	// Anomaly-triggered profile capture (profilez.go): nil unless
 	// Config.ProfileDir is set.
@@ -215,13 +213,13 @@ func New(b Backend, cfg Config) *Server {
 	s.prof = newProfiler(cfg.ProfileDir, cfg.ProfileMaxCaptures, cfg.ProfileCooldown, cfg.ProfileCPUDuration)
 	s.initObs()
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/range", s.opHandler("range", s.handleRange))
-	mux.HandleFunc("/v1/count", s.opHandler("count", s.handleCount))
-	mux.HandleFunc("/v1/point", s.opHandler("point", s.handlePoint))
-	mux.HandleFunc("/v1/knn", s.opHandler("knn", s.handleKNN))
-	mux.HandleFunc("/v1/insert", s.opHandler("insert", s.handleInsert))
-	mux.HandleFunc("/v1/delete", s.opHandler("delete", s.handleDelete))
-	mux.HandleFunc("/v1/batch", s.opHandler("batch", s.handleBatch))
+	for i, route := range routes {
+		h := s.handleOp
+		if route == "batch" {
+			h = s.handleBatch
+		}
+		mux.HandleFunc("/v1/"+route, s.opHandler(i, h))
+	}
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/statsz", s.handleStatsz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
@@ -255,137 +253,185 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorResp{Error: fmt.Sprintf(format, args...)})
 }
 
-// decode parses a JSON request body into v, rejecting trailing garbage.
-func decode(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
-	if err := dec.Decode(v); err != nil {
-		return err
+// request is the record of one /v1 request, pooled: its clock, its status,
+// its decoded op(s), the view it pinned and the one buffer its range and kNN
+// answers land in. It is the http.ResponseWriter the handlers write through,
+// which is how it learns the status code. One handler goroutine owns it from
+// opHandler's first line to finish, so nothing in it is synchronized.
+type request struct {
+	http.ResponseWriter // the connection's; WriteHeader is overridden
+
+	route int // index into routes
+	code  int
+	wrote bool
+	// admitted is set while the request holds an admission slot.
+	admitted bool
+	// start is the handler's entry; last is the latest phase boundary, in
+	// nanoseconds since start.
+	start time.Time
+	last  int64
+	ph    obs.Phases
+
+	op    workload.WireOp // a single-op route's body
+	batch batchReq        // /v1/batch's
+	// view is pinned on the first read and dropped by every write, so reads
+	// after a batch's own write observe it.
+	view ReadView
+	// pts backs every range and kNN answer of the request, each appended
+	// behind the one before.
+	pts []wazi.Point
+}
+
+var requestPool = sync.Pool{New: func() any { return new(request) }}
+
+// maxPointBuf bounds the capacity a record's buffer may carry back into the
+// pool, so one huge result does not pin its high-water mark forever.
+const maxPointBuf = 1 << 16
+
+// WriteHeader notes the status on its way out: every response in this
+// package goes out through writeJSON, which sets the header first.
+func (rq *request) WriteHeader(code int) {
+	rq.code, rq.wrote = code, true
+	rq.ResponseWriter.WriteHeader(code)
+}
+
+// stamp closes the interval since the previous phase boundary into phase p:
+// one monotonic clock read per boundary.
+func (rq *request) stamp(p obs.Phase) {
+	now := int64(time.Since(rq.start))
+	rq.ph.NS[p] += now - rq.last
+	rq.last = now
+}
+
+// reply writes the response; the time since the last boundary is encode.
+func (rq *request) reply(code int, v any) {
+	writeJSON(rq, code, v)
+	rq.stamp(obs.PhaseEncode)
+}
+
+func (rq *request) fail(code int, format string, args ...any) {
+	rq.reply(code, errorResp{Error: fmt.Sprintf(format, args...)})
+}
+
+// decode parses the JSON request body into v, rejecting trailing garbage,
+// and answers the request itself when it cannot: 413 for a body over
+// maxBodyBytes — MaxBytesReader is handed the real writer, so the server
+// stops reading and closes the connection — and 400 for everything else.
+func (rq *request) decode(r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(rq.ResponseWriter, r.Body, maxBodyBytes))
+	err := dec.Decode(v)
+	if err == nil && dec.More() {
+		err = errors.New("trailing data after JSON body")
 	}
-	if dec.More() {
-		return errors.New("trailing data after JSON body")
+	if err == nil {
+		return true
 	}
-	return nil
+	rq.stamp(obs.PhaseDecode)
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		rq.fail(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+	} else {
+		rq.fail(http.StatusBadRequest, "bad request body: %v", err)
+	}
+	return false
 }
 
 // opHandler wraps an op endpoint with method filtering, admission control,
-// and observability: the slot is held for the whole request, so MaxInflight
-// bounds every kind of in-flight work and MaxQueue bounds the line behind
-// it. Every request carries a QueryTrace in its context; the admission wait
-// becomes the trace's first span, the request's total latency lands in the
-// per-route histogram, and slow requests enter the slow-query log. A panic
-// under the handler (DiskStore raises page-file I/O errors as panics) fails
-// that one request with a 500: the slot is released and the connection and
-// the process keep serving.
-func (s *Server) opHandler(route string, h http.HandlerFunc) http.HandlerFunc {
-	hist := s.routeHist[route]
+// and the request's record: the slot is held for the whole request, so
+// MaxInflight bounds every kind of in-flight work and MaxQueue bounds the
+// line behind it, and the record clocks the request from here to finish,
+// which runs on every exit.
+func (s *Server) opHandler(route int, h func(*request, *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
+		rq := requestPool.Get().(*request)
+		rq.ResponseWriter, rq.route, rq.code, rq.start = w, route, http.StatusOK, time.Now()
+		defer s.finish(rq, r)
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
-			writeError(w, http.StatusMethodNotAllowed, "%s requires POST", r.URL.Path)
-			s.status(route, http.StatusMethodNotAllowed)
+			rq.fail(http.StatusMethodNotAllowed, "%s requires POST", r.URL.Path)
 			return
 		}
-		tr := obs.NewTrace(route)
-		r = r.WithContext(obs.ContextWithTrace(r.Context(), tr))
-		admit := time.Now()
-		release, err := s.gate.acquire(r.Context())
-		if err != nil {
-			code := http.StatusServiceUnavailable
-			if errors.Is(err, errShed) {
-				w.Header().Set("Retry-After", "1")
-				code = http.StatusTooManyRequests
-				writeError(w, code, "overloaded: admission queue full")
-			} else {
-				writeError(w, code, "canceled while queued: %v", err)
-			}
-			s.status(route, code)
-			hist.ObserveSince(admit)
-			s.reqAll.ObserveSince(admit)
+		err := s.gate.acquire(r.Context())
+		rq.stamp(obs.PhaseAdmission)
+		if errors.Is(err, errShed) {
+			w.Header().Set("Retry-After", "1")
+			rq.fail(http.StatusTooManyRequests, "overloaded: admission queue full")
+			return
+		} else if err != nil {
+			rq.fail(http.StatusServiceUnavailable, "canceled while queued: %v", err)
 			return
 		}
-		tr.AddSpan("admission", admit, time.Since(admit), nil)
-		sw := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		defer func() {
-			if p := recover(); p != nil {
-				s.panics.Inc()
-				log.Printf("server: panic serving %s: %v\n%s", r.URL.Path, p, debug.Stack())
-				if !sw.wrote {
-					writeError(sw, http.StatusInternalServerError, "internal error: %v", p)
-				}
-				sw.code = http.StatusInternalServerError
-			}
-			release()
-			tr.Finish()
-			d := tr.Total()
-			hist.Observe(d.Seconds())
-			s.reqAll.Observe(d.Seconds())
-			s.status(route, sw.code)
-			if sw.code == http.StatusOK && d >= s.slow.Threshold() {
-				if s.slow.Record(tr.Snapshot()) {
-					// A slow-query breach is the anomaly the profile ring
-					// exists for: capture while the cause is still hot.
-					s.prof.trigger("slow_query")
-				}
-			}
-		}()
-		h(sw, r)
+		rq.admitted = true
+		h(rq, r)
 	}
 }
 
-// view pins the one snapshot a request reads and hands it the request's
-// trace when it supports tracing (the production *wazi.View); doubles pass
-// through untouched.
-func (s *Server) view(r *http.Request) ReadView {
-	v := s.b.View()
-	if wv, ok := v.(*wazi.View); ok {
-		return wv.WithTrace(obs.FromContext(r.Context()))
+// finish is opHandler's deferred end of every request, whatever its status.
+// A panic under the handler (DiskStore raises page-file I/O errors as
+// panics) fails that one request with a 500: the slot is released and the
+// connection and the process keep serving; the phase it interrupted stays in
+// unattributed. The record is then folded — total latency into the route's
+// histogram, each phase into its counter, the status into its counter, and
+// the fixed fields into the slow log when the total reaches its threshold —
+// and goes back to the pool with nothing of the connection left in it.
+func (s *Server) finish(rq *request, r *http.Request) {
+	if p := recover(); p != nil {
+		s.panics.Inc()
+		log.Printf("server: panic serving %s: %v\n%s", r.URL.Path, p, debug.Stack())
+		if !rq.wrote {
+			rq.stamp(obs.PhaseUnattributed) // a boundary: the 500 is encode, what led to it is not
+			rq.fail(http.StatusInternalServerError, "internal error: %v", p)
+		}
+		rq.code = http.StatusInternalServerError
 	}
-	return v
-}
-
-// pointBufPool recycles the response point buffers of the range and kNN
-// handlers, closing the last allocation gap of a steady-state read: the
-// index fan-out already runs on a pooled query arena, and with this the
-// result set lands in a reused buffer too.
-var pointBufPool = sync.Pool{New: func() any { return new(pointBuf) }}
-
-type pointBuf struct{ pts []wazi.Point }
-
-// maxPointBuf bounds the capacity a buffer may carry back into the pool, so
-// one huge result does not pin its high-water mark forever.
-const maxPointBuf = 1 << 16
-
-func (b *pointBuf) release() {
-	if cap(b.pts) > maxPointBuf {
-		b.pts = nil
+	if rq.admitted {
+		s.gate.release()
+	}
+	total := int64(time.Since(rq.start))
+	rq.ph.NS[obs.PhaseUnattributed] = total
+	for _, ns := range rq.ph.NS[:obs.PhaseUnattributed] {
+		rq.ph.NS[obs.PhaseUnattributed] -= ns
+	}
+	ro := &s.routes[rq.route]
+	for p, ns := range rq.ph.NS {
+		if ns != 0 {
+			ro.phaseNS[p].Add(ns)
+		}
+	}
+	sec := time.Duration(total).Seconds()
+	ro.hist.Observe(sec)
+	s.reqAll.Observe(sec)
+	if rq.code == http.StatusOK {
+		ro.ok.Inc()
 	} else {
-		b.pts = b.pts[:0]
+		s.reg.Counter(requestsTotal, "", obs.L("route", routes[rq.route]), obs.L("code", strconv.Itoa(rq.code))).Inc()
 	}
-	pointBufPool.Put(b)
+	if s.slow.Record(obs.SlowEntry{Route: routes[rq.route], Code: rq.code, Start: rq.start, TotalNS: total, Phases: rq.ph}) {
+		// A slow request is the anomaly the profile ring exists for:
+		// capture while the cause is still hot.
+		s.prof.trigger("slow_query")
+	}
+	if cap(rq.pts) > maxPointBuf {
+		rq.pts = nil
+	}
+	*rq = request{pts: rq.pts[:0]}
+	requestPool.Put(rq)
 }
 
-// writePoints answers a range or kNN request out of its pooled buffer and
-// recycles the buffer once the response is encoded.
-func (s *Server) writePoints(w http.ResponseWriter, b *pointBuf) {
-	s.ops.Add(1)
-	writeJSON(w, http.StatusOK, rangeResp{Count: len(b.pts), Points: b.pts})
-	b.release()
+// view pins the snapshot the request's reads run against, once, and points
+// it at the request's clock when it can keep time (the production
+// *wazi.View); doubles pass through untouched.
+func (s *Server) view(rq *request) ReadView {
+	if rq.view == nil {
+		rq.view = s.b.View()
+		if wv, ok := rq.view.(*wazi.View); ok {
+			wv.SetPhases(&rq.ph)
+		}
+	}
+	return rq.view
 }
 
 // ---------------------------------------------------------------- requests
-
-type rectReq struct {
-	Rect *wazi.Rect `json:"rect"`
-}
-
-type pointReq struct {
-	Point *wazi.Point `json:"point"`
-}
-
-type knnReq struct {
-	Point *wazi.Point `json:"point"`
-	K     int         `json:"k"`
-}
 
 type batchReq struct {
 	Ops []workload.WireOp `json:"ops"`
@@ -414,100 +460,70 @@ type batchResp struct {
 
 // ---------------------------------------------------------------- handlers
 
-func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
-	var req rectReq
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
+// exec runs one validated op and returns its response value. It holds the
+// only switch over wire kinds. A read's wall time is fanout, less what the
+// shard scans under it clocked for themselves; range and kNN answers are
+// appended to the record's buffer (both query paths preserve the prefix), so
+// the answers of a batch sit side by side until the response is encoded.
+func (s *Server) exec(rq *request, op *workload.WireOp) (resp any) {
+	scanned := rq.ph.NS[obs.PhaseScan] + rq.ph.NS[obs.PhasePagestore]
+	n := len(rq.pts)
+	write := false
+	switch op.Op {
+	case workload.WireRange:
+		rq.pts = s.view(rq).RangeQueryAppend(rq.pts, *op.Rect)
+		resp = rangeResp{Count: len(rq.pts) - n, Points: rq.pts[n:]}
+	case workload.WireCount:
+		resp = countResp{Count: s.view(rq).RangeCount(*op.Rect)}
+	case workload.WirePoint:
+		resp = foundResp{Found: s.view(rq).PointQuery(*op.Point)}
+	case workload.WireKNN:
+		rq.pts = s.view(rq).KNNAppend(rq.pts, *op.Point, op.K)
+		resp = rangeResp{Count: len(rq.pts) - n, Points: rq.pts[n:]}
+	case workload.WireInsert:
+		s.b.Insert(*op.Point)
+		resp, write = okResp{OK: true}, true
+	case workload.WireDelete:
+		resp, write = foundResp{Found: s.b.Delete(*op.Point)}, true
 	}
-	op := workload.WireOp{Op: workload.WireRange, Rect: req.Rect}
-	if err := op.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+	if write {
+		rq.view = nil // later reads must see this write
+		rq.stamp(obs.PhaseWrite)
+	} else {
+		rq.stamp(obs.PhaseFanout)
+		rq.ph.NS[obs.PhaseFanout] -= rq.ph.NS[obs.PhaseScan] + rq.ph.NS[obs.PhasePagestore] - scanned
 	}
-	b := pointBufPool.Get().(*pointBuf)
-	b.pts = s.view(r).RangeQueryAppend(b.pts[:0], *req.Rect)
-	s.writePoints(w, b)
+	return resp
 }
 
-func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
-	var req rectReq
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+// handleOp serves the six single-op routes: the body is a WireOp whose kind
+// is the route's — a body's own "op" never re-routes a request.
+func (s *Server) handleOp(rq *request, r *http.Request) {
+	if !rq.decode(r, &rq.op) {
 		return
 	}
-	op := workload.WireOp{Op: workload.WireCount, Rect: req.Rect}
-	if err := op.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	rq.op.Op = routes[rq.route]
+	err := rq.op.Validate()
+	rq.stamp(obs.PhaseDecode)
+	if err != nil {
+		rq.fail(http.StatusBadRequest, "%v", err)
 		return
 	}
-	n := s.view(r).RangeCount(*req.Rect)
+	resp := s.exec(rq, &rq.op)
 	s.ops.Add(1)
-	writeJSON(w, http.StatusOK, countResp{Count: n})
+	rq.reply(http.StatusOK, resp)
 }
 
-func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
-	var req pointReq
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
+func validateBatch(ops []workload.WireOp) error {
+	if len(ops) == 0 {
+		return errors.New("batch has no ops")
 	}
-	op := workload.WireOp{Op: workload.WirePoint, Point: req.Point}
-	if err := op.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+	for i := range ops {
+		if err := ops[i].Validate(); err != nil {
+			return fmt.Errorf("op %d: %v", i, err)
+		}
 	}
-	found := s.view(r).PointQuery(*req.Point)
-	s.ops.Add(1)
-	writeJSON(w, http.StatusOK, foundResp{Found: found})
-}
-
-func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
-	var req knnReq
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	op := workload.WireOp{Op: workload.WireKNN, Point: req.Point, K: req.K}
-	if err := op.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	b := pointBufPool.Get().(*pointBuf)
-	b.pts = s.view(r).KNNAppend(b.pts[:0], *req.Point, req.K)
-	s.writePoints(w, b)
-}
-
-func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
-	var req pointReq
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	op := workload.WireOp{Op: workload.WireInsert, Point: req.Point}
-	if err := op.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s.b.Insert(*req.Point)
-	s.ops.Add(1)
-	writeJSON(w, http.StatusOK, okResp{OK: true})
-}
-
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	var req pointReq
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	op := workload.WireOp{Op: workload.WireDelete, Point: req.Point}
-	if err := op.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	found := s.b.Delete(*req.Point)
-	s.ops.Add(1)
-	writeJSON(w, http.StatusOK, foundResp{Found: found})
+	return nil
 }
 
 // handleBatch executes a mixed multi-op request under ONE admission slot:
@@ -516,64 +532,23 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 // batch's own earlier writes, and runs of consecutive reads share a
 // snapshot. The whole batch is validated before any op executes: a
 // malformed batch changes nothing.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchReq
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+func (s *Server) handleBatch(rq *request, r *http.Request) {
+	if !rq.decode(r, &rq.batch) {
 		return
 	}
-	if len(req.Ops) == 0 {
-		writeError(w, http.StatusBadRequest, "batch has no ops")
+	ops := rq.batch.Ops
+	err := validateBatch(ops)
+	rq.stamp(obs.PhaseDecode)
+	if err != nil {
+		rq.fail(http.StatusBadRequest, "%v", err)
 		return
 	}
-	for i, op := range req.Ops {
-		if err := op.Validate(); err != nil {
-			writeError(w, http.StatusBadRequest, "op %d: %v", i, err)
-			return
-		}
+	results := make([]any, len(ops))
+	for i := range ops {
+		results[i] = s.exec(rq, &ops[i])
 	}
-	var view ReadView
-	pin := func() ReadView {
-		if view == nil {
-			view = s.view(r)
-		}
-		return view
-	}
-	results := make([]any, len(req.Ops))
-	// The kNN ops of a batch share one pooled working buffer for their
-	// window scans; each answer is copied out at its exact size.
-	var knn *pointBuf
-	for i, op := range req.Ops {
-		switch op.Op {
-		case workload.WireRange:
-			pts := pin().RangeQuery(*op.Rect)
-			results[i] = rangeResp{Count: len(pts), Points: pts}
-		case workload.WireCount:
-			results[i] = countResp{Count: pin().RangeCount(*op.Rect)}
-		case workload.WirePoint:
-			results[i] = foundResp{Found: pin().PointQuery(*op.Point)}
-		case workload.WireKNN:
-			if knn == nil {
-				knn = pointBufPool.Get().(*pointBuf)
-			}
-			knn.pts = pin().KNNAppend(knn.pts[:0], *op.Point, op.K)
-			pts := append([]wazi.Point(nil), knn.pts...)
-			results[i] = rangeResp{Count: len(pts), Points: pts}
-		case workload.WireInsert:
-			s.b.Insert(*op.Point)
-			view = nil // later reads must see this write
-			results[i] = okResp{OK: true}
-		case workload.WireDelete:
-			found := s.b.Delete(*op.Point)
-			view = nil
-			results[i] = foundResp{Found: found}
-		}
-	}
-	if knn != nil {
-		knn.release()
-	}
-	s.ops.Add(int64(len(req.Ops)))
-	writeJSON(w, http.StatusOK, batchResp{Results: results})
+	s.ops.Add(int64(len(ops)))
+	rq.reply(http.StatusOK, batchResp{Results: results})
 }
 
 // ------------------------------------------------------------ introspection

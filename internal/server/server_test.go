@@ -280,6 +280,62 @@ func TestMethodFiltering(t *testing.T) {
 	}
 }
 
+// TestRouteDecidesTheOp: a single-op body is a WireOp, but its kind is the
+// route's — an "op" in the body never re-routes the request, and operands
+// the route does not use are ignored as they always were.
+func TestRouteDecidesTheOp(t *testing.T) {
+	_, ts, idx := newTestServer(t, Config{})
+	p := wazi.Point{X: 0.321, Y: 0.654}
+	for _, tt := range []struct {
+		name, path, body string
+		check            func(t *testing.T, v map[string]any)
+	}{
+		{"insert with a delete op inserts", "/v1/insert", `{"op":"delete","point":{"X":0.321,"Y":0.654}}`,
+			func(t *testing.T, v map[string]any) {
+				if v["ok"] != true || !idx.PointQuery(p) {
+					t.Errorf("answer %v, point indexed = %v; want ok and indexed", v, idx.PointQuery(p))
+				}
+			}},
+		{"range with an extra point", "/v1/range", `{"rect":{"MinX":0.3,"MinY":0.6,"MaxX":0.4,"MaxY":0.7},"point":{"X":9,"Y":9}}`,
+			func(t *testing.T, v map[string]any) {
+				want := idx.RangeCount(wazi.Rect{MinX: 0.3, MinY: 0.6, MaxX: 0.4, MaxY: 0.7})
+				if got := int(v["count"].(float64)); got != want || want == 0 {
+					t.Errorf("count = %d, want %d (> 0)", got, want)
+				}
+			}},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			code, v := post(t, ts, tt.path, tt.body)
+			if code != http.StatusOK {
+				t.Fatalf("status = %d (body %v)", code, v)
+			}
+			tt.check(t, v)
+		})
+	}
+}
+
+// TestOversizedBodyIs413 sends a body one byte over the limit: the answer is
+// 413, the server closes that connection instead of reading on, and the next
+// request is served.
+func TestOversizedBodyIs413(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{})
+	resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(strings.Repeat(" ", maxBodyBytes+1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized batch answered %d, want 413", resp.StatusCode)
+	}
+	if !resp.Close {
+		t.Error("the server was not told to close the connection of an oversized body")
+	}
+	if code, v := post(t, ts, "/v1/count", wholeUnitRect); code != http.StatusOK {
+		t.Fatalf("request after the 413 answered %d (%v), want 200", code, v)
+	}
+}
+
 func TestHealthzAndStatsz(t *testing.T) {
 	_, ts, idx := newTestServer(t, Config{})
 	// Serve a little traffic so the counters move.
@@ -347,10 +403,11 @@ func TestHealthzAndStatsz(t *testing.T) {
 type blockingBackend struct {
 	Backend
 	gate   chan struct{}
-	views  atomic.Int64 // View calls
-	inside atomic.Int64 // reads in RangeCount now
-	peak   atomic.Int64 // most reads ever in RangeCount at once
-	faulty atomic.Bool  // RangeCount panics while set, as DiskStore does on EIO
+	views  atomic.Int64  // View calls
+	inside atomic.Int64  // reads in RangeCount now
+	peak   atomic.Int64  // most reads ever in RangeCount at once
+	faulty atomic.Bool   // RangeCount panics while set, as DiskStore does on EIO
+	delay  time.Duration // RangeCount sleeps this long before answering
 }
 
 type blockingView struct {
@@ -375,6 +432,7 @@ func (v *blockingView) RangeCount(r wazi.Rect) int {
 		panic("blockingBackend: injected page read fault")
 	}
 	<-v.b.gate
+	time.Sleep(v.b.delay)
 	return v.ReadView.RangeCount(r)
 }
 
@@ -550,6 +608,53 @@ func TestCancelledWhileQueuedNeverReads(t *testing.T) {
 	}
 	if q, in := srv.gate.queued.Load(), srv.gate.inflight.Load(); q != 0 || in != 0 {
 		t.Errorf("gate left with queued=%d inflight=%d", q, in)
+	}
+}
+
+// TestSlowLogHoldsCancelledQueuedRequest: the slow log takes any request at
+// or over the threshold, whatever its status. One that waited 20 ms at the
+// gate and was then cancelled is the entry an operator needs, and nearly all
+// of its time is admission.
+func TestSlowLogHoldsCancelledQueuedRequest(t *testing.T) {
+	b, _ := newTestBackend(t)
+	blocked := &blockingBackend{Backend: b, gate: make(chan struct{})}
+	srv := New(blocked, Config{MaxInflight: 1, MaxQueue: 8, SlowQueryThreshold: 10 * time.Millisecond})
+
+	serve := func(ctx context.Context) <-chan int {
+		done := make(chan int, 1)
+		req := httptest.NewRequest(http.MethodPost, "/v1/count", strings.NewReader(wholeUnitRect))
+		go func() {
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, req.WithContext(ctx))
+			done <- rec.Code
+		}()
+		return done
+	}
+	first := serve(context.Background())
+	waitFor(t, func() bool { return blocked.inside.Load() == 1 })
+
+	ctx, cancel := context.WithCancel(context.Background())
+	second := serve(ctx)
+	waitFor(t, func() bool { return srv.gate.queued.Load() == 1 })
+	time.Sleep(20 * time.Millisecond)
+	cancel()
+	if code := <-second; code != http.StatusServiceUnavailable {
+		t.Fatalf("request cancelled while queued answered %d, want 503", code)
+	}
+	entries := srv.slow.Snapshot()
+	if len(entries) != 1 {
+		t.Fatalf("slow log holds %d entries, want the cancelled request alone: %+v", len(entries), entries)
+	}
+	e := entries[0]
+	if e.Route != "count" || e.Code != http.StatusServiceUnavailable {
+		t.Errorf("entry is %s/%d, want count/503", e.Route, e.Code)
+	}
+	if adm := e.Phases.NS[obs.PhaseAdmission]; adm < int64(20*time.Millisecond) || adm*10 < e.TotalNS*9 {
+		t.Errorf("admission = %d ns of %d total, want >= 20 ms and >= 90 %%", adm, e.TotalNS)
+	}
+	close(blocked.gate)
+	if code := <-first; code != http.StatusOK {
+		t.Fatalf("first request finished with %d, want 200", code)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 
 	wazi "github.com/wazi-index/wazi"
 	"github.com/wazi-index/wazi/internal/dataset"
-	"github.com/wazi-index/wazi/internal/obs"
 	"github.com/wazi-index/wazi/internal/workload"
 )
 
@@ -392,18 +391,13 @@ func TestShardedKNNStaysOutOfWorkloadModel(t *testing.T) {
 
 	// k = everything: the last window scans every shard, once more than the
 	// windows before it did.
-	tr := obs.NewTrace("knn")
-	if got := s.View().WithTrace(tr).KNN(wazi.Point{X: 0.5, Y: 0.5}, len(pts)); len(got) != len(pts) {
-		t.Fatalf("traced KNN returned %d points, want %d", len(got), len(pts))
+	scanned := s.Shards()
+	if got := s.KNN(wazi.Point{X: 0.5, Y: 0.5}, len(pts)); len(got) != len(pts) {
+		t.Fatalf("KNN returned %d points, want %d", len(got), len(pts))
 	}
-	tr.Finish()
-	scanned := map[int64]bool{}
-	for _, sp := range tr.Snapshot().Spans {
-		if sp.Name == "shard_scan" {
-			scanned[sp.Attrs["shard"]] = true
+	for i, info := range s.Shards() {
+		if info.PointsScanned <= scanned[i].PointsScanned {
+			t.Fatalf("k = everything left shard %d unscanned (%d points before and after)", i, info.PointsScanned)
 		}
-	}
-	if len(scanned) != s.NumShards() {
-		t.Fatalf("traced kNN left scan spans for %d shards, want %d", len(scanned), s.NumShards())
 	}
 }

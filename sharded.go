@@ -601,23 +601,19 @@ func (s *Sharded) RangeQueryAppend(dst []Point, r Rect) []Point {
 	return s.rangeAppendFromSnap(dst, s.snap.Load(), r, nil)
 }
 
-// rangeFromSnap runs a range query against one pinned snapshot; View and
-// the public query path share it. tr, when non-nil, receives per-shard
-// scan spans and a page-I/O attribution span.
-func (s *Sharded) rangeFromSnap(snap *shardedSnapshot, r Rect, tr *obs.QueryTrace) []Point {
-	return s.rangeAppendFromSnap(nil, snap, r, tr)
-}
-
-func (s *Sharded) rangeAppendFromSnap(dst []Point, snap *shardedSnapshot, r Rect, tr *obs.QueryTrace) []Point {
-	if done := s.traceIO(snap, tr); done != nil {
-		defer done()
-	}
-	a := s.getArena(snap, tr)
+// rangeAppendFromSnap runs a range query against one pinned snapshot; View
+// and the public query path share it. ph, when non-nil, receives the scan
+// and page-store time and the work counts.
+func (s *Sharded) rangeAppendFromSnap(dst []Point, snap *shardedSnapshot, r Rect, ph *obs.Phases) []Point {
+	mark := markIO(snap, ph)
+	a := s.getArena(snap, ph)
 	defer a.release()
 	a.rectTargets(r)
 	a.observeWorkload()
 	s.obs.observeFanout(len(snap.shards), len(a.targets))
-	return a.scan(dst)
+	dst = a.scan(dst)
+	mark.attribute(snap, ph)
+	return dst
 }
 
 // RangeCount returns the number of points inside r without materializing
@@ -628,24 +624,23 @@ func (s *Sharded) RangeCount(r Rect) int {
 }
 
 // countFromSnap runs a range count against one pinned snapshot.
-func (s *Sharded) countFromSnap(snap *shardedSnapshot, r Rect, tr *obs.QueryTrace) int {
-	if done := s.traceIO(snap, tr); done != nil {
-		defer done()
-	}
-	a := s.getArena(snap, tr)
+func (s *Sharded) countFromSnap(snap *shardedSnapshot, r Rect, ph *obs.Phases) int {
+	mark := markIO(snap, ph)
+	a := s.getArena(snap, ph)
 	defer a.release()
 	a.rectTargets(r)
 	a.observeWorkload()
 	s.obs.observeFanout(len(snap.shards), len(a.targets))
 	total := 0
 	for _, si := range a.targets {
-		t0, live := s.scanStart(tr)
+		t0, live := s.scanStart(ph)
 		c := shardCount(snap.shards[si], r)
 		if live {
-			s.endScan(tr, si, t0, c)
+			s.endScan(ph, t0, c)
 		}
 		total += c
 	}
+	mark.attribute(snap, ph)
 	return total
 }
 
@@ -741,19 +736,18 @@ func (s *Sharded) PointQuery(p Point) bool {
 // pointFromSnap runs a point query against one pinned snapshot, routing
 // with the snapshot's own plan so a View pinned across a repartition stays
 // consistent with the shard array it holds.
-func (s *Sharded) pointFromSnap(snap *shardedSnapshot, p Point, tr *obs.QueryTrace) bool {
-	if done := s.traceIO(snap, tr); done != nil {
-		defer done()
-	}
+func (s *Sharded) pointFromSnap(snap *shardedSnapshot, p Point, ph *obs.Phases) bool {
+	mark := markIO(snap, ph)
 	i := snap.plan.Locate(p)
-	t0, live := s.scanStart(tr)
+	t0, live := s.scanStart(ph)
 	found := pointInShard(snap, i, p)
 	if live {
 		n := 0
 		if found {
 			n = 1
 		}
-		s.endScan(tr, i, t0, n)
+		s.endScan(ph, t0, n)
+		mark.attribute(snap, ph)
 	}
 	return found
 }
@@ -806,25 +800,20 @@ func (s *Sharded) KNNAppend(dst []Point, q Point, k int) []Point {
 	return s.knnAppendFromSnap(dst, s.snap.Load(), q, k, nil)
 }
 
-// knnFromSnap runs a kNN query against one pinned snapshot.
-func (s *Sharded) knnFromSnap(snap *shardedSnapshot, q Point, k int, tr *obs.QueryTrace) []Point {
-	return s.knnAppendFromSnap(nil, snap, q, k, tr)
-}
-
-func (s *Sharded) knnAppendFromSnap(dst []Point, snap *shardedSnapshot, q Point, k int, tr *obs.QueryTrace) []Point {
+// knnAppendFromSnap runs a kNN query against one pinned snapshot.
+func (s *Sharded) knnAppendFromSnap(dst []Point, snap *shardedSnapshot, q Point, k int, ph *obs.Phases) []Point {
 	bounds, ok := snap.bounds()
 	if k <= 0 || !ok {
 		return dst
 	}
-	if done := s.traceIO(snap, tr); done != nil {
-		defer done()
-	}
-	a := s.getArena(snap, tr)
+	mark := markIO(snap, ph)
+	a := s.getArena(snap, ph)
 	defer a.release()
 	dst = core.KNNWindows(dst, a, q, k, snap.knnHalfWidth(q, k), bounds)
 	// Windows only grow, so the last one scanned targeted every shard the
 	// query touched.
 	s.obs.observeFanout(len(snap.shards), len(a.targets))
+	mark.attribute(snap, ph)
 	return dst
 }
 

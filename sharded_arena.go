@@ -7,7 +7,7 @@ import (
 )
 
 // queryArena is the reusable state of one fan-out read: the snapshot and
-// trace it runs against and the list of shards it targets. Arenas are
+// phase clock it runs against and the list of shards it targets. Arenas are
 // pooled, so a pooled arena re-pointed at a new query allocates nothing —
 // not the target list, and not the interface value that makes the arena a
 // kNN query's core.RangeSource — which is the property the kernel-allocs
@@ -19,24 +19,24 @@ type queryArena struct {
 	s    *Sharded
 	snap *shardedSnapshot
 	r    Rect
-	tr   *obs.QueryTrace
+	ph   *obs.Phases
 
 	targets []int
 }
 
 var arenaPool = sync.Pool{New: func() any { return &queryArena{} }}
 
-// getArena borrows an arena and points it at one query's snapshot and trace.
-func (s *Sharded) getArena(snap *shardedSnapshot, tr *obs.QueryTrace) *queryArena {
+// getArena borrows an arena and points it at one query's snapshot and clock.
+func (s *Sharded) getArena(snap *shardedSnapshot, ph *obs.Phases) *queryArena {
 	a := arenaPool.Get().(*queryArena)
-	a.s, a.snap, a.tr = s, snap, tr
+	a.s, a.snap, a.ph = s, snap, ph
 	return a
 }
 
 // release returns the arena to the pool. The snapshot reference is cleared
 // so a pooled arena never pins retired shard memory.
 func (a *queryArena) release() {
-	a.s, a.snap, a.tr = nil, nil, nil
+	a.s, a.snap, a.ph = nil, nil, nil
 	a.targets = a.targets[:0]
 	arenaPool.Put(a)
 }
@@ -74,11 +74,11 @@ func (a *queryArena) observeWorkload() {
 // in plan order, each shard scanning straight into dst.
 func (a *queryArena) scan(dst []Point) []Point {
 	for _, si := range a.targets {
-		t0, live := a.s.scanStart(a.tr)
+		t0, live := a.s.scanStart(a.ph)
 		before := len(dst)
 		dst = shardRange(a.snap.shards[si], a.r, dst)
 		if live {
-			a.s.endScan(a.tr, si, t0, len(dst)-before)
+			a.s.endScan(a.ph, t0, len(dst)-before)
 		}
 	}
 	return dst

@@ -76,9 +76,9 @@ func (o *ShardedObs) observeScan(d time.Duration) {
 }
 
 // WithoutObservability disables the per-query instruments (fan-out and
-// latency histograms). Traces handed in via View.WithTrace still work. This
-// exists for the obs-overhead benchmark, which measures the instrumented
-// hot path against this configuration.
+// latency histograms). A phase clock handed in via View.SetPhases still
+// runs. This exists for the obs-overhead benchmark, which measures the
+// instrumented hot path against this configuration.
 func WithoutObservability() ShardedOption {
 	return func(c *shardedConfig) { c.noObs = true }
 }
@@ -96,7 +96,7 @@ func (s *Sharded) attachStoreObs(idx *Index) {
 }
 
 // snapReadIO sums the cumulative page-file read counters across the disk
-// stores of a snapshot's shards. Traced queries take before/after deltas to
+// stores of a snapshot's shards. Timed queries take before/after deltas to
 // attribute cache-miss page I/O to themselves; concurrent faulting can fold
 // a neighbor's read into the delta, so the attribution is monitoring-grade.
 func snapReadIO(snap *shardedSnapshot) (reads, nanos int64) {
@@ -113,46 +113,59 @@ func snapReadIO(snap *shardedSnapshot) (reads, nanos int64) {
 	return reads, nanos
 }
 
-// traceIO starts page-I/O attribution for a traced query against snap; the
-// returned func closes the "pagestore" span. Returns nil when tr is nil —
-// the caller guards the defer — so un-traced queries never touch the store
-// counters.
-func (s *Sharded) traceIO(snap *shardedSnapshot, tr *obs.QueryTrace) func() {
-	if tr == nil {
-		return nil
+// ioMark is where a timed query started: the snapshot's page-file read
+// counters and the query's own scan clock.
+type ioMark struct{ reads, nanos, scanNS int64 }
+
+// markIO opens page-I/O attribution for a query against snap. With a nil ph
+// it reads nothing, so untimed queries never touch the store counters.
+func markIO(snap *shardedSnapshot, ph *obs.Phases) (m ioMark) {
+	if ph != nil {
+		m.reads, m.nanos = snapReadIO(snap)
+		m.scanNS = ph.NS[obs.PhaseScan]
 	}
-	t0 := time.Now()
-	r0, n0 := snapReadIO(snap)
-	return func() {
-		r1, n1 := snapReadIO(snap)
-		if dr := r1 - r0; dr > 0 {
-			tr.AddSpan("pagestore", t0, time.Duration(n1-n0),
-				map[string]int64{"reads": dr})
-		}
+	return m
+}
+
+// attribute closes a markIO: the page-file read time since the mark moves
+// out of the query's scan phase into pagestore. Reads happen inside scans,
+// so the move is clamped to the scan time the query itself clocked — a
+// neighbor's read folded into the delta cannot push pagestore past scan.
+func (m ioMark) attribute(snap *shardedSnapshot, ph *obs.Phases) {
+	if ph == nil {
+		return
+	}
+	r1, n1 := snapReadIO(snap)
+	if dr := r1 - m.reads; dr > 0 {
+		ns := min(n1-m.nanos, ph.NS[obs.PhaseScan]-m.scanNS)
+		ph.NS[obs.PhaseScan] -= ns
+		ph.NS[obs.PhasePagestore] += ns
+		ph.PageReads += dr
 	}
 }
 
 // scanStart opens the timing of one shard scan: it returns the start time
 // and whether any scan instrument is live (the shared latency histogram or a
-// per-query trace). Callers pair it with endScan, skipped when live is
+// request's phase clock). Callers pair it with endScan, skipped when live is
 // false. The pair is deliberately not a returned closure — a closure per
 // shard scan is a heap allocation on the hottest path in the system, which
 // the kernel-allocs experiment ratchets to zero.
-func (s *Sharded) scanStart(tr *obs.QueryTrace) (t0 time.Time, live bool) {
-	if tr == nil && s.obs == nil {
+func (s *Sharded) scanStart(ph *obs.Phases) (t0 time.Time, live bool) {
+	if ph == nil && s.obs == nil {
 		return time.Time{}, false
 	}
 	return time.Now(), true
 }
 
 // endScan closes a scan opened by scanStart: latency into the shared
-// histogram and, when traced, a per-shard "shard_scan" span stamped with the
-// result count.
-func (s *Sharded) endScan(tr *obs.QueryTrace, si int, t0 time.Time, results int) {
+// histogram and, when timed, into the request's scan phase with its result
+// count.
+func (s *Sharded) endScan(ph *obs.Phases, t0 time.Time, results int) {
 	d := time.Since(t0)
 	s.obs.observeScan(d)
-	if tr != nil {
-		tr.AddSpan("shard_scan", t0, d,
-			map[string]int64{"shard": int64(si), "results": int64(results)})
+	if ph != nil {
+		ph.NS[obs.PhaseScan] += int64(d)
+		ph.Scans++
+		ph.Results += int64(results)
 	}
 }

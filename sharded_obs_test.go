@@ -51,7 +51,7 @@ func TestShardedObsInstruments(t *testing.T) {
 	}
 }
 
-func TestViewWithTraceSpans(t *testing.T) {
+func TestViewPhases(t *testing.T) {
 	pts := obsTestPoints(6000, 2)
 	s, err := NewSharded(pts, nil, WithShards(4), WithoutAutoRebuild(),
 		WithShardedStorage(t.TempDir(), 2), WithIndexOptions(WithLeafSize(64)))
@@ -60,46 +60,33 @@ func TestViewWithTraceSpans(t *testing.T) {
 	}
 	defer s.Close()
 
-	tr := obs.NewTrace("range")
-	v := s.View().WithTrace(tr)
+	var ph obs.Phases
+	v := s.View()
+	v.SetPhases(&ph)
 	got := v.RangeQuery(Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1})
 	if len(got) != len(pts) {
-		t.Fatalf("traced range returned %d, want %d", len(got), len(pts))
+		t.Fatalf("timed range returned %d, want %d", len(got), len(pts))
 	}
-	tr.Finish()
-	snap := tr.Snapshot()
-	var scans, pagestores int
-	var results int64
-	for _, sp := range snap.Spans {
-		switch sp.Name {
-		case "shard_scan":
-			scans++
-			results += sp.Attrs["results"]
-		case "pagestore":
-			pagestores++
-			if sp.Attrs["reads"] == 0 {
-				t.Fatal("pagestore span with zero reads")
-			}
-		}
+	if ph.Scans != 4 {
+		t.Fatalf("scans = %d, want 4 (one per shard)", ph.Scans)
 	}
-	if scans != 4 {
-		t.Fatalf("shard_scan spans = %d, want 4 (one per shard)", scans)
+	if ph.Results != int64(len(pts)) {
+		t.Fatalf("results = %d, want %d", ph.Results, len(pts))
 	}
-	if results != int64(len(pts)) {
-		t.Fatalf("span result attrs sum to %d, want %d", results, len(pts))
+	// A 2-page cache against ~24 pages per shard must fault, and the read
+	// time is carved out of the scans, never added on top of them.
+	if ph.PageReads == 0 || ph.NS[obs.PhasePagestore] <= 0 {
+		t.Fatalf("page reads = %d, pagestore = %d ns, want both > 0", ph.PageReads, ph.NS[obs.PhasePagestore])
 	}
-	if pagestores != 1 {
-		t.Fatalf("pagestore spans = %d, want 1", pagestores)
+	if ph.NS[obs.PhaseScan] < 0 {
+		t.Fatalf("scan = %d ns after carving out pagestore, want >= 0", ph.NS[obs.PhaseScan])
 	}
 
-	// The un-traced base view records no spans.
-	before := len(tr.Snapshot().Spans)
+	// An untimed View leaves the record untouched.
+	before := ph
 	s.View().RangeQuery(Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1})
-	if after := len(tr.Snapshot().Spans); after != before {
-		t.Fatalf("un-traced view added spans: %d -> %d", before, after)
-	}
-	if s.View().WithTrace(nil) == nil {
-		t.Fatal("WithTrace(nil) should return a usable view")
+	if ph != before {
+		t.Fatalf("untimed view moved the record: %+v -> %+v", before, ph)
 	}
 }
 
@@ -116,10 +103,12 @@ func TestWithoutObservability(t *testing.T) {
 	if got := s.RangeQuery(Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}); len(got) != len(pts) {
 		t.Fatalf("range returned %d, want %d", len(got), len(pts))
 	}
-	// Tracing still works without the instruments.
-	tr := obs.NewTrace("range")
-	s.View().WithTrace(tr).RangeQuery(Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1})
-	if len(tr.Snapshot().Spans) == 0 {
-		t.Fatal("traced view recorded no spans without observability")
+	// A request's clock still runs without the instruments.
+	var ph obs.Phases
+	v := s.View()
+	v.SetPhases(&ph)
+	v.RangeQuery(Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1})
+	if ph.Scans == 0 {
+		t.Fatal("timed view clocked no scans without observability")
 	}
 }

@@ -21,9 +21,9 @@ import "github.com/wazi-index/wazi/internal/obs"
 type View struct {
 	s    *Sharded
 	snap *shardedSnapshot
-	// tr, when set via WithTrace, receives per-shard scan and page-I/O
-	// spans from every query run through this handle.
-	tr *obs.QueryTrace
+	// ph, when set via SetPhases, receives the scan and page-store time and
+	// the work counts of every query run through this handle.
+	ph *obs.Phases
 }
 
 // View pins the current snapshot and returns a read-only handle to it.
@@ -31,21 +31,15 @@ func (s *Sharded) View() *View {
 	return &View{s: s, snap: s.snap.Load()}
 }
 
-// WithTrace returns a View on the same pinned snapshot whose queries record
-// spans (per-shard scans, page-store reads) into tr. The receiver is not
-// modified, so one snapshot pass can serve traced and un-traced requests
-// side by side. A nil tr returns the receiver unchanged.
-func (v *View) WithTrace(tr *obs.QueryTrace) *View {
-	if tr == nil {
-		return v
-	}
-	return &View{s: v.s, snap: v.snap, tr: tr}
-}
+// SetPhases makes the View's queries clock their shard scans and page-store
+// reads into ph. It is for the one request that pinned the View and owns ph:
+// neither is synchronized. Nil, the default, leaves queries untimed.
+func (v *View) SetPhases(ph *obs.Phases) { v.ph = ph }
 
 // RangeQuery returns all points inside r as of the pinned snapshot.
 func (v *View) RangeQuery(r Rect) []Point {
 	v.s.rangeQs.Add(1)
-	return v.s.rangeFromSnap(v.snap, r, v.tr)
+	return v.s.rangeAppendFromSnap(nil, v.snap, r, v.ph)
 }
 
 // RangeQueryAppend appends the points inside r to dst as of the pinned
@@ -53,34 +47,34 @@ func (v *View) RangeQuery(r Rect) []Point {
 // response buffers through.
 func (v *View) RangeQueryAppend(dst []Point, r Rect) []Point {
 	v.s.rangeQs.Add(1)
-	return v.s.rangeAppendFromSnap(dst, v.snap, r, v.tr)
+	return v.s.rangeAppendFromSnap(dst, v.snap, r, v.ph)
 }
 
 // RangeCount returns the number of points inside r as of the pinned
 // snapshot.
 func (v *View) RangeCount(r Rect) int {
 	v.s.rangeQs.Add(1)
-	return v.s.countFromSnap(v.snap, r, v.tr)
+	return v.s.countFromSnap(v.snap, r, v.ph)
 }
 
 // PointQuery reports whether p was indexed as of the pinned snapshot.
 func (v *View) PointQuery(p Point) bool {
 	v.s.pointQs.Add(1)
-	return v.s.pointFromSnap(v.snap, p, v.tr)
+	return v.s.pointFromSnap(v.snap, p, v.ph)
 }
 
 // KNN returns the k points nearest to q, closest first, as of the pinned
 // snapshot.
 func (v *View) KNN(q Point, k int) []Point {
 	v.s.knnQs.Add(1)
-	return v.s.knnFromSnap(v.snap, q, k, v.tr)
+	return v.s.knnAppendFromSnap(nil, v.snap, q, k, v.ph)
 }
 
 // KNNAppend appends the k points nearest to q to dst, closest first, as of
 // the pinned snapshot.
 func (v *View) KNNAppend(dst []Point, q Point, k int) []Point {
 	v.s.knnQs.Add(1)
-	return v.s.knnAppendFromSnap(dst, v.snap, q, k, v.tr)
+	return v.s.knnAppendFromSnap(dst, v.snap, q, k, v.ph)
 }
 
 // Len returns the number of points the pinned snapshot serves.

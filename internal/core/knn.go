@@ -87,11 +87,12 @@ func KNNWindows(dst []geom.Point, src RangeSource, q geom.Point, k int, half flo
 		// The k-th nearest of the collected points bounds the true k-th
 		// neighbour's distance, but points outside the square window may be
 		// closer than corner-distance candidates inside it: issue one final
-		// query with the certified radius.
-		geom.SortByDistance(dst[base:], q)
+		// query with the certified radius. Only the first k are ever read,
+		// so each window selects them rather than sorting every candidate.
+		geom.NearestK(dst[base:], k, q)
 		if r := dist(dst[base+k-1], q); r > half {
 			dst = src.RangeQueryAppend(dst[:base], square(q, r))
-			geom.SortByDistance(dst[base:], q)
+			geom.NearestK(dst[base:], k, q)
 		}
 		return dst[:base+k]
 	}
@@ -105,6 +106,3 @@ func square(q geom.Point, half float64) geom.Rect {
 
 // dist returns the Euclidean distance between a and b.
 func dist(a, b geom.Point) float64 { return math.Sqrt(geom.DistSq(a, b)) }
-
-// sortByDistance orders pts by (distance to q, X, Y), nearest first.
-func sortByDistance(pts []geom.Point, q geom.Point) { geom.SortByDistance(pts, q) }

@@ -317,11 +317,7 @@ func (z *ZIndex) RangeCount(r geom.Rect) int {
 		d.PagesScanned++
 		d.PointsScanned += int64(p.n)
 		v := z.store.View(p.pid)
-		for _, pt := range v.Pts {
-			if r.Contains(pt) {
-				count++
-			}
-		}
+		count += geom.CountInside(v.Pts, r)
 		v.Release()
 	}
 	d.ResultPoints += int64(count)

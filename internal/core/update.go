@@ -18,13 +18,19 @@ import (
 // the affected cells.
 func (z *ZIndex) Insert(p geom.Point) {
 	z.stats.Inserts++
-	z.bounds = z.bounds.ExtendPoint(p)
+	// Bounds and cells are extended only when p falls outside them: the
+	// common in-cell insert then reads each cell and writes none. (An edge
+	// at +0 stays +0 when −0 is inserted on it, where an unconditional
+	// ExtendPoint would rewrite it to −0; every comparison treats the two
+	// as equal.)
+	if !z.bounds.Contains(p) {
+		z.bounds = z.bounds.ExtendPoint(p)
+	}
 	n := z.root
 	for {
-		// ExtendPoint is a no-op for in-cell points, so this costs nothing
-		// on the common path while keeping cells consistent after
-		// out-of-domain inserts.
-		n.cell = n.cell.ExtendPoint(p)
+		if !n.cell.Contains(p) {
+			n.cell = n.cell.ExtendPoint(p)
+		}
 		if n.leaf != nil {
 			break
 		}
@@ -102,11 +108,11 @@ func (z *ZIndex) Delete(p geom.Point) bool {
 	if !z.bounds.Contains(p) {
 		return false
 	}
-	// Descend, remembering the path for the merge check.
-	var path []*node
+	// Descend, remembering the leaf's parent for the merge check.
+	var parent *node
 	n := z.root
 	for n != nil && n.leaf == nil {
-		path = append(path, n)
+		parent = n
 		n = n.child[n.order.Pos(geom.QuadrantOf(p, n.split))]
 	}
 	if n == nil {
@@ -119,8 +125,8 @@ func (z *ZIndex) Delete(p geom.Point) bool {
 	z.store.Update(n.leaf.pid, pg.Pts, n.leaf.bounds)
 	n.leaf.n--
 	z.count--
-	if len(path) > 0 {
-		z.maybeMerge(path[len(path)-1])
+	if parent != nil {
+		z.maybeMerge(parent)
 	}
 	return true
 }

@@ -75,12 +75,61 @@ func TestInsertIntoEmptyQuadrant(t *testing.T) {
 		z.Insert(p)
 		ref.insert(p)
 	}
+	// Far outside the built domain (negative X, Y above 1): the cells along
+	// each descent must grow to cover the point before the insert lands.
+	for i := 0; i < 200; i++ {
+		p := geom.Point{X: -1 - rng.Float64(), Y: rng.Float64()}
+		switch i % 3 {
+		case 1:
+			p = geom.Point{X: rng.Float64(), Y: 1 + rng.Float64()}
+		case 2:
+			p = geom.Point{X: -rng.Float64(), Y: 1 + rng.Float64()}
+		}
+		z.Insert(p)
+		ref.insert(p)
+	}
 	if err := z.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 60; i++ {
 		r := randomQueryRect(rng)
 		samePointSets(t, z.RangeQuery(r), bruteRange(ref.pts, r), "after empty-quadrant inserts")
+	}
+	for _, r := range []geom.Rect{
+		{MinX: -3, MinY: -3, MaxX: 3, MaxY: 3},
+		{MinX: -2, MinY: 0, MaxX: -0.5, MaxY: 1},
+		{MinX: -1, MinY: 1, MaxX: 1, MaxY: 2},
+		{MinX: -0.5, MinY: 0.5, MaxX: 0.5, MaxY: 1.5},
+	} {
+		samePointSets(t, z.RangeQuery(r), bruteRange(ref.pts, r), "after far-outside inserts")
+	}
+}
+
+// TestInsertDeleteAllocFree pins the steady-state update path on the RAM
+// backend: an insert that neither splits nor grows bounds, and the delete
+// that undoes it without merging, allocate nothing.
+func TestInsertDeleteAllocFree(t *testing.T) {
+	z, err := BuildBase(uniformPts(4000, 58), Options{LeafSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := geom.Point{X: 0.4321, Y: 0.5678}
+	z.Insert(p) // grow the page's capacity once, outside the measurement
+	if !z.Delete(p) {
+		t.Fatal("Delete of the inserted point failed")
+	}
+	splits, merges := z.Stats().PageSplits, z.Stats().PageMerges
+	allocs := testing.AllocsPerRun(100, func() {
+		z.Insert(p)
+		if !z.Delete(p) {
+			t.Fatal("Delete of the inserted point failed")
+		}
+	})
+	if s := z.Stats(); s.PageSplits != splits || s.PageMerges != merges {
+		t.Fatalf("measured pair changed structure: splits %d→%d, merges %d→%d", splits, s.PageSplits, merges, s.PageMerges)
+	}
+	if allocs != 0 {
+		t.Fatalf("Insert+Delete allocates %.1f times per pair, want 0", allocs)
 	}
 }
 
@@ -204,7 +253,7 @@ func TestPointsAccessor(t *testing.T) {
 
 func bruteKNN(pts []geom.Point, q geom.Point, k int) []geom.Point {
 	out := append([]geom.Point(nil), pts...)
-	sortByDistance(out, q)
+	geom.SortByDistance(out, q)
 	if len(out) > k {
 		out = out[:k]
 	}

@@ -37,6 +37,33 @@ func SortByDistance(pts []Point, q Point) {
 	}
 }
 
+// NearestK moves the k points of pts nearest to q into pts[:k], ordered by
+// DistLess, nearest first, and leaves the rest of pts in unspecified order:
+// a bounded max-heap of the k best so far, then a heapsort of that heap, so
+// O(len(pts) log k) instead of SortByDistance's O(len(pts) log len(pts)).
+// Because DistLess is a total order on point values, pts[:k] equals the
+// first k points SortByDistance would produce. k >= len(pts) sorts all of
+// pts; k <= 0 leaves it untouched.
+func NearestK(pts []Point, k int, q Point) {
+	if k >= len(pts) {
+		SortByDistance(pts, q)
+		return
+	}
+	if k <= 0 {
+		return
+	}
+	for i := k/2 - 1; i >= 0; i-- {
+		siftDist(pts, i, k, q)
+	}
+	for i := k; i < len(pts); i++ {
+		if DistLess(pts[i], pts[0], q) {
+			pts[0], pts[i] = pts[i], pts[0]
+			siftDist(pts, 0, k, q)
+		}
+	}
+	SortByDistance(pts[:k], q)
+}
+
 // siftDist restores the max-heap property (by DistLess) for the subtree at
 // root within pts[:end].
 func siftDist(pts []Point, root, end int, q Point) {

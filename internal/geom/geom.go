@@ -10,6 +10,7 @@ package geom
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Point is a location in the two-dimensional data space.
@@ -95,6 +96,55 @@ func (r Rect) Center() Point {
 // Contains reports whether p lies within the closed rectangle r.
 func (r Rect) Contains(p Point) bool {
 	return p.X >= r.MinX && p.X <= r.MaxX && p.Y >= r.MinY && p.Y <= r.MaxY
+}
+
+// AppendInside appends to dst the points of pts that lie inside r, in their
+// order in pts, and returns the extended slice: the filter every page and
+// insert-buffer scan runs. The predicate is exactly Contains's — a closed
+// rectangle, NaN on either side never inside, −0 equal to +0 — but the loop
+// carries no data-dependent branch: every point is stored at dst[n] and n
+// advances by the AND of the four comparisons, so a scan costs the same
+// whether a third or all of its points qualify.
+//
+// dst first grows to hold all of pts, and the len(pts) slots after its
+// length are scratch, so the result may carry up to len(pts) points of spare
+// capacity — one scanned page or insert buffer. When no point qualifies, dst
+// is returned as given (a nil dst stays nil), as append would.
+func AppendInside(dst, pts []Point, r Rect) []Point {
+	n := len(dst)
+	out := slices.Grow(dst, len(pts))[:n+len(pts)]
+	for _, p := range pts {
+		out[n] = p
+		n += inside(p, r)
+	}
+	if n == len(dst) {
+		return dst
+	}
+	return out[:n]
+}
+
+// CountInside returns how many points of pts lie inside r: AppendInside
+// without the store.
+func CountInside(pts []Point, r Rect) int {
+	n := 0
+	for _, p := range pts {
+		n += inside(p, r)
+	}
+	return n
+}
+
+// inside is Contains as 0 or 1, with no branch.
+func inside(p Point, r Rect) int {
+	return b2i(p.X >= r.MinX) & b2i(p.X <= r.MaxX) & b2i(p.Y >= r.MinY) & b2i(p.Y <= r.MaxY)
+}
+
+// b2i converts b to 0 or 1; the compiler lowers it to a SETcc, not a branch.
+func b2i(b bool) int {
+	var i int
+	if b {
+		i = 1
+	}
+	return i
 }
 
 // ContainsRect reports whether s lies entirely within r.

@@ -54,14 +54,10 @@ func (v *PageView) Release() {
 }
 
 // Filter appends to dst the viewed points that fall inside r and returns
-// the extended slice — the borrowed-view twin of Page.Filter.
+// the extended slice — the borrowed-view twin of Page.Filter, through the
+// same geom.AppendInside kernel.
 func (v *PageView) Filter(r geom.Rect, dst []geom.Point) []geom.Point {
-	for _, pt := range v.Pts {
-		if r.Contains(pt) {
-			dst = append(dst, pt)
-		}
-	}
-	return dst
+	return geom.AppendInside(dst, v.Pts, r)
 }
 
 // Contains reports whether the viewed page stores a point equal to pt.

@@ -25,14 +25,10 @@ func (p *Page) Len() int { return len(p.Pts) }
 
 // Filter appends to dst the points of the page that fall inside r and
 // returns the extended slice. The caller's Stats, if any, must be updated
-// separately; Filter itself is allocation-free apart from dst growth.
+// separately; Filter itself is allocation-free apart from dst growth (see
+// geom.AppendInside for how much spare capacity that growth leaves).
 func (p *Page) Filter(r geom.Rect, dst []geom.Point) []geom.Point {
-	for _, pt := range p.Pts {
-		if r.Contains(pt) {
-			dst = append(dst, pt)
-		}
-	}
-	return dst
+	return geom.AppendInside(dst, p.Pts, r)
 }
 
 // Contains reports whether the page stores a point equal to pt.

@@ -668,12 +668,7 @@ func shardRange(ss *shardSnap, r Rect, dst []Point) []Point {
 	if ss.deadN > 0 {
 		dst = filterDead(dst, before, ss.dead)
 	}
-	for _, p := range ss.extra {
-		if r.Contains(p) {
-			dst = append(dst, p)
-		}
-	}
-	return dst
+	return geom.AppendInside(dst, ss.extra, r)
 }
 
 func shardCount(ss *shardSnap, r Rect) int {
@@ -689,12 +684,7 @@ func shardCount(ss *shardSnap, r Rect) int {
 			}
 		}
 	}
-	for _, p := range ss.extra {
-		if r.Contains(p) {
-			n++
-		}
-	}
-	return n
+	return n + geom.CountInside(ss.extra, r)
 }
 
 // filterDead removes tombstoned occurrences from pts[from:], respecting

@@ -141,35 +141,18 @@ func (s *Server) initObs() {
 // capture is disabled (all zeros), so dashboards and waziload's scrape
 // deltas never see a family appear out of nowhere.
 func (s *Server) registerProfileMetrics() {
-	reg := s.reg
+	reg, p := s.reg, s.prof
+	if p == nil {
+		p = new(profiler) // capture disabled: the counters stay zero
+	}
 	reg.CounterFunc("wazi_profile_captures_total", "Anomaly-triggered profile captures completed.",
-		func() float64 {
-			if s.prof == nil {
-				return 0
-			}
-			return float64(s.prof.captured.Load())
-		})
+		func() float64 { return float64(p.captured.Load()) })
 	reg.CounterFunc("wazi_profile_triggers_total", "Capture triggers observed (slow-query breaches, GC-pause SLO trips).",
-		func() float64 {
-			if s.prof == nil {
-				return 0
-			}
-			return float64(s.prof.triggered.Load())
-		})
+		func() float64 { return float64(p.triggered.Load()) })
 	reg.CounterFunc("wazi_profile_skipped_total", "Capture triggers dropped by the cooldown or an in-flight capture.",
-		func() float64 {
-			if s.prof == nil {
-				return 0
-			}
-			return float64(s.prof.skipped.Load())
-		})
+		func() float64 { return float64(p.skipped.Load()) })
 	reg.CounterFunc("wazi_profile_capture_errors_total", "Errors while writing capture profiles.",
-		func() float64 {
-			if s.prof == nil {
-				return 0
-			}
-			return float64(s.prof.errors.Load())
-		})
+		func() float64 { return float64(p.errors.Load()) })
 	reg.GaugeFunc("wazi_profile_retained", "Captures currently on disk in the bounded ring.",
 		func() float64 { return float64(s.prof.retained()) })
 

@@ -23,16 +23,20 @@
 //	/statsz     GET                        -> counters, shard + drift + WAL state
 //	/debug/checksum GET                    -> full-contents multiset checksum
 //
-// The wire shapes are internal/workload's WireOp encoding, so scenario
+// The request shapes are internal/workload's WireOp encoding, so scenario
 // suites replay over the network byte-for-byte as cmd/waziload sends them.
+// Every /v1 answer is appended to a pooled buffer as its op runs and sent in
+// one write with Content-Length; "points" is always an array, [] if empty.
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"runtime"
 	"runtime/debug"
@@ -254,8 +258,8 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 }
 
 // request is the record of one /v1 request, pooled: its clock, its status,
-// its decoded op(s), the view it pinned and the one buffer its range and kNN
-// answers land in. It is the http.ResponseWriter the handlers write through,
+// its body and decoded op(s), the view it pinned, and the buffers its answers
+// are built in. It is the http.ResponseWriter the handlers write through,
 // which is how it learns the status code. One handler goroutine owns it from
 // opHandler's first line to finish, so nothing in it is synchronized.
 type request struct {
@@ -272,24 +276,37 @@ type request struct {
 	last  int64
 	ph    obs.Phases
 
+	body  bytes.Buffer    // the request body, read whole, then decoded
 	op    workload.WireOp // a single-op route's body
 	batch batchReq        // /v1/batch's
 	// view is pinned on the first read and dropped by every write, so reads
 	// after a batch's own write observe it.
 	view ReadView
-	// pts backs every range and kNN answer of the request, each appended
-	// behind the one before.
-	pts []wazi.Point
+	pts  []wazi.Point // the range or kNN answer of the op being run
+	out  []byte       // the response body: each op's answer, appended as it runs
+	inf  bool         // an answer holds ±Inf or NaN, which JSON cannot carry
+	clen [1]string    // the Content-Length header's value
 }
 
 var requestPool = sync.Pool{New: func() any { return new(request) }}
 
-// maxPointBuf bounds the capacity a record's buffer may carry back into the
-// pool, so one huge result does not pin its high-water mark forever.
-const maxPointBuf = 1 << 16
+// maxPointBuf and maxByteBuf bound the capacity a record's buffers carry back
+// into the pool, so one huge request or result does not pin it forever.
+const maxPointBuf, maxByteBuf = 1 << 16, 1 << 21
+
+// reuse empties a pooled buffer, or drops it once it grew past max.
+func reuse[T any](s []T, max int) []T {
+	if cap(s) > max {
+		return nil
+	}
+	return s[:0]
+}
+
+// jsonType is shared, so setting it allocates nothing: WriteHeader copies it.
+var jsonType = []string{"application/json"}
 
 // WriteHeader notes the status on its way out: every response in this
-// package goes out through writeJSON, which sets the header first.
+// package goes out through writeJSON or send, which set the header first.
 func (rq *request) WriteHeader(code int) {
 	rq.code, rq.wrote = code, true
 	rq.ResponseWriter.WriteHeader(code)
@@ -303,25 +320,37 @@ func (rq *request) stamp(p obs.Phase) {
 	rq.last = now
 }
 
-// reply writes the response; the time since the last boundary is encode.
-func (rq *request) reply(code int, v any) {
-	writeJSON(rq, code, v)
+// fail answers with an error; the time since the last boundary is encode.
+func (rq *request) fail(code int, format string, args ...any) {
+	writeJSON(rq, code, errorResp{Error: fmt.Sprintf(format, args...)})
 	rq.stamp(obs.PhaseEncode)
 }
 
-func (rq *request) fail(code int, format string, args ...any) {
-	rq.reply(code, errorResp{Error: fmt.Sprintf(format, args...)})
+// send writes out as the 200 answer in one Write with its Content-Length, or
+// fails the request with a 500 if an answer held ±Inf or NaN: nothing is
+// written before. The time since the last boundary is encode.
+func (rq *request) send() {
+	if rq.inf {
+		rq.fail(http.StatusInternalServerError, "answer holds a non-finite coordinate, which JSON cannot encode")
+		return
+	}
+	rq.out = append(rq.out, '\n')
+	rq.clen[0] = strconv.Itoa(len(rq.out))
+	h := rq.Header()
+	h["Content-Type"], h["Content-Length"] = jsonType, rq.clen[:]
+	rq.WriteHeader(http.StatusOK)
+	_, _ = rq.Write(rq.out) // a failed write is a client gone: nothing to answer
+	rq.stamp(obs.PhaseEncode)
 }
 
-// decode parses the JSON request body into v, rejecting trailing garbage,
-// and answers the request itself when it cannot: 413 for a body over
-// maxBodyBytes — MaxBytesReader is handed the real writer, so the server
-// stops reading and closes the connection — and 400 for everything else.
+// decode reads the body into the record and parses it into v, or answers the
+// request itself: 413 for a body over maxBodyBytes — MaxBytesReader is handed
+// the real writer, so the server stops reading and closes the connection —
+// and 400 for everything else, a stray '}' or ']' after the value included.
 func (rq *request) decode(r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(rq.ResponseWriter, r.Body, maxBodyBytes))
-	err := dec.Decode(v)
-	if err == nil && dec.More() {
-		err = errors.New("trailing data after JSON body")
+	_, err := rq.body.ReadFrom(http.MaxBytesReader(rq.ResponseWriter, r.Body, maxBodyBytes))
+	if err == nil {
+		err = json.Unmarshal(rq.body.Bytes(), v)
 	}
 	if err == nil {
 		return true
@@ -411,10 +440,8 @@ func (s *Server) finish(rq *request, r *http.Request) {
 		// capture while the cause is still hot.
 		s.prof.trigger("slow_query")
 	}
-	if cap(rq.pts) > maxPointBuf {
-		rq.pts = nil
-	}
-	*rq = request{pts: rq.pts[:0]}
+	*rq = request{pts: reuse(rq.pts, maxPointBuf), out: reuse(rq.out, maxByteBuf),
+		body: *bytes.NewBuffer(reuse(rq.body.Bytes(), maxByteBuf))}
 	requestPool.Put(rq)
 }
 
@@ -437,54 +464,60 @@ type batchReq struct {
 	Ops []workload.WireOp `json:"ops"`
 }
 
-type rangeResp struct {
-	Count  int          `json:"count"`
-	Points []wazi.Point `json:"points"`
+// appendFloat appends a finite f exactly as encoding/json writes a float64:
+// the shortest form that round-trips, 'f' unless the magnitude is below 1e-6
+// or at least 1e21, and then with the exponent unpadded (1e-07 → 1e-7).
+func appendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2], b = b[n-1], b[:n-1]
+	}
+	return b
 }
 
-type countResp struct {
-	Count int `json:"count"`
-}
-
-type foundResp struct {
-	Found bool `json:"found"`
-}
-
-type okResp struct {
-	OK bool `json:"ok"`
-}
-
-type batchResp struct {
-	Results []any `json:"results"`
+// appendPoints appends the range or kNN answer in pts to out,
+// {"count":n,"points":[{"X":…,"Y":…},…]}, and notes a non-finite coordinate.
+func (rq *request) appendPoints() {
+	b := strconv.AppendInt(append(rq.out, `{"count":`...), int64(len(rq.pts)), 10)
+	b = append(b, `,"points":[`...)
+	for i, p := range rq.pts {
+		rq.inf = rq.inf || math.IsInf(p.X, 0) || math.IsNaN(p.X) || math.IsInf(p.Y, 0) || math.IsNaN(p.Y)
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendFloat(append(b, `{"X":`...), p.X)
+		b = append(appendFloat(append(b, `,"Y":`...), p.Y), '}')
+	}
+	rq.out = append(b, "]}"...)
 }
 
 // ---------------------------------------------------------------- handlers
 
-// exec runs one validated op and returns its response value. It holds the
-// only switch over wire kinds. A read's wall time is fanout, less what the
-// shard scans under it clocked for themselves; range and kNN answers are
-// appended to the record's buffer (both query paths preserve the prefix), so
-// the answers of a batch sit side by side until the response is encoded.
-func (s *Server) exec(rq *request, op *workload.WireOp) (resp any) {
+// exec runs one validated op and appends its JSON answer to out; its two
+// switches, run then encode, are the only ones over wire kinds. A read's wall
+// time is fanout, less what the shard scans under it clocked themselves; the
+// append right after is encode, so no answer is clocked to the next op.
+func (s *Server) exec(rq *request, op *workload.WireOp) {
 	scanned := rq.ph.NS[obs.PhaseScan] + rq.ph.NS[obs.PhasePagestore]
-	n := len(rq.pts)
-	write := false
+	n, found, write := 0, false, false
 	switch op.Op {
 	case workload.WireRange:
-		rq.pts = s.view(rq).RangeQueryAppend(rq.pts, *op.Rect)
-		resp = rangeResp{Count: len(rq.pts) - n, Points: rq.pts[n:]}
+		rq.pts = s.view(rq).RangeQueryAppend(rq.pts[:0], *op.Rect)
 	case workload.WireCount:
-		resp = countResp{Count: s.view(rq).RangeCount(*op.Rect)}
+		n = s.view(rq).RangeCount(*op.Rect)
 	case workload.WirePoint:
-		resp = foundResp{Found: s.view(rq).PointQuery(*op.Point)}
+		found = s.view(rq).PointQuery(*op.Point)
 	case workload.WireKNN:
-		rq.pts = s.view(rq).KNNAppend(rq.pts, *op.Point, op.K)
-		resp = rangeResp{Count: len(rq.pts) - n, Points: rq.pts[n:]}
+		rq.pts = s.view(rq).KNNAppend(rq.pts[:0], *op.Point, op.K)
 	case workload.WireInsert:
 		s.b.Insert(*op.Point)
-		resp, write = okResp{OK: true}, true
+		write = true
 	case workload.WireDelete:
-		resp, write = foundResp{Found: s.b.Delete(*op.Point)}, true
+		found, write = s.b.Delete(*op.Point), true
 	}
 	if write {
 		rq.view = nil // later reads must see this write
@@ -493,7 +526,17 @@ func (s *Server) exec(rq *request, op *workload.WireOp) (resp any) {
 		rq.stamp(obs.PhaseFanout)
 		rq.ph.NS[obs.PhaseFanout] -= rq.ph.NS[obs.PhaseScan] + rq.ph.NS[obs.PhasePagestore] - scanned
 	}
-	return resp
+	switch op.Op {
+	case workload.WireRange, workload.WireKNN:
+		rq.appendPoints()
+	case workload.WireCount:
+		rq.out = append(strconv.AppendInt(append(rq.out, `{"count":`...), int64(n), 10), '}')
+	case workload.WireInsert:
+		rq.out = append(rq.out, `{"ok":true}`...)
+	default: // point, delete
+		rq.out = append(strconv.AppendBool(append(rq.out, `{"found":`...), found), '}')
+	}
+	rq.stamp(obs.PhaseEncode)
 }
 
 // handleOp serves the six single-op routes: the body is a WireOp whose kind
@@ -509,9 +552,9 @@ func (s *Server) handleOp(rq *request, r *http.Request) {
 		rq.fail(http.StatusBadRequest, "%v", err)
 		return
 	}
-	resp := s.exec(rq, &rq.op)
+	s.exec(rq, &rq.op)
 	s.ops.Add(1)
-	rq.reply(http.StatusOK, resp)
+	rq.send()
 }
 
 func validateBatch(ops []workload.WireOp) error {
@@ -543,12 +586,16 @@ func (s *Server) handleBatch(rq *request, r *http.Request) {
 		rq.fail(http.StatusBadRequest, "%v", err)
 		return
 	}
-	results := make([]any, len(ops))
+	rq.out = append(rq.out, `{"results":[`...)
 	for i := range ops {
-		results[i] = s.exec(rq, &ops[i])
+		if i > 0 {
+			rq.out = append(rq.out, ',')
+		}
+		s.exec(rq, &ops[i])
 	}
+	rq.out = append(rq.out, "]}"...)
 	s.ops.Add(int64(len(ops)))
-	rq.reply(http.StatusOK, batchResp{Results: results})
+	rq.send()
 }
 
 // ------------------------------------------------------------ introspection

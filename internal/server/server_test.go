@@ -149,6 +149,22 @@ func TestEndpoints(t *testing.T) {
 			body: fmt.Sprintf(`{"rect":%s} extra`, wholeRect), wantCode: 400,
 		},
 		{
+			name: "trailing brace", path: "/v1/point",
+			body: `{"point":{"X":1,"Y":2}}}`, wantCode: 400,
+		},
+		{
+			name: "trailing brackets", path: "/v1/range",
+			body: fmt.Sprintf(`{"rect":%s}]]]`, wholeRect), wantCode: 400,
+		},
+		{
+			name: "batch trailing brace", path: "/v1/batch",
+			body: `{"ops":[{"op":"point","point":{"X":1,"Y":2}}]}}`, wantCode: 400,
+		},
+		{
+			name: "batch trailing bracket", path: "/v1/batch",
+			body: `{"ops":[{"op":"point","point":{"X":1,"Y":2}}]}]`, wantCode: 400,
+		},
+		{
 			name: "missing rect", path: "/v1/range",
 			body: `{}`, wantCode: 400,
 		},

@@ -24,7 +24,7 @@ func (s *Sharded) RebuildShard(i int) bool { return s.rebuildShard(i) }
 // kNN exactness tests must be sure they reached.
 func (s *Sharded) ShardState(i int) (empty, bufferOnly bool) {
 	ss := s.snap.Load().shards[i]
-	return ss.empty, ss.idx == nil && len(ss.extra) > 0
+	return ss.empty, ss.idx == nil && ss.extra.size() > 0
 }
 
 // DoctorSnapshotVersion re-encodes a saved sharded snapshot with the header
@@ -33,13 +33,23 @@ func (s *Sharded) ShardState(i int) (empty, bufferOnly bool) {
 // a clear error.
 func DoctorSnapshotVersion(t *testing.T, buf *bytes.Buffer, version int) []byte {
 	t.Helper()
-	dec := gob.NewDecoder(bytes.NewReader(buf.Bytes()))
+	return doctorSnapshot(t, buf.Bytes(), func(h *shardedHeader) { h.Version = version }, nil)
+}
+
+// doctorSnapshot re-encodes a saved sharded snapshot with its header passed
+// through editHeader and each shard record through editShard (either may be
+// nil), preserving the migration record.
+func doctorSnapshot(t testing.TB, data []byte, editHeader func(*shardedHeader), editShard func(int, *shardedShardRecord)) []byte {
+	t.Helper()
+	dec := gob.NewDecoder(bytes.NewReader(data))
 	var h shardedHeader
 	if err := dec.Decode(&h); err != nil {
 		t.Fatalf("doctoring snapshot: decode header: %v", err)
 	}
 	shards := h.Shards
-	h.Version = version
+	if editHeader != nil {
+		editHeader(&h)
+	}
 	var out bytes.Buffer
 	enc := gob.NewEncoder(&out)
 	if err := enc.Encode(&h); err != nil {
@@ -56,6 +66,9 @@ func DoctorSnapshotVersion(t *testing.T, buf *bytes.Buffer, version int) []byte 
 		var rec shardedShardRecord
 		if err := dec.Decode(&rec); err != nil {
 			t.Fatalf("doctoring snapshot: decode shard %d: %v", i, err)
+		}
+		if editShard != nil {
+			editShard(i, &rec)
 		}
 		if err := enc.Encode(&rec); err != nil {
 			t.Fatalf("doctoring snapshot: encode shard %d: %v", i, err)

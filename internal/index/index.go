@@ -77,6 +77,17 @@ func (b *Brute) Insert(p geom.Point) {
 	b.pts = append(b.pts, p)
 }
 
+// Delete removes one point equal to p, reporting whether there was one.
+func (b *Brute) Delete(p geom.Point) bool {
+	for i, q := range b.pts {
+		if q == p {
+			b.pts = append(b.pts[:i], b.pts[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
 // Len returns the number of points.
 func (b *Brute) Len() int { return len(b.pts) }
 

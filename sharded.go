@@ -30,13 +30,14 @@ import (
 // block readers. (Drift monitoring is the one exception: each query takes
 // a short per-shard mutex to update the advisor's histogram, and a sampled
 // one for the recent-query ring.)
-// Writes are serialized among themselves and land in small per-shard delta
-// buffers (copy-on-write) that background compaction folds into the shard's
-// index. This is the deployment model of §6.5 — build offline, serve online
-// — extended with the zero-downtime adaptation the paper leaves as future
-// work: each shard's RebuildAdvisor watches its observed queries, and once
-// drift crosses the Figure 12 crossover threshold the shard is rebuilt with
-// NewWorkloadAware on the recent query window and swapped in atomically.
+// Writes are serialized among themselves and land in a small per-shard delta
+// of sorted runs (sharded_delta.go) that background compaction folds into
+// the shard's index. This is the deployment model of §6.5 — build offline,
+// serve online — extended with the zero-downtime adaptation the paper
+// leaves as future work: each shard's RebuildAdvisor watches its observed
+// queries, and once drift crosses the Figure 12 crossover threshold the
+// shard is rebuilt with NewWorkloadAware on the recent query window and
+// swapped in atomically.
 type Sharded struct {
 	snap atomic.Pointer[shardedSnapshot]
 	mu   sync.Mutex // serializes writers, compactions, and snapshot swaps
@@ -133,15 +134,15 @@ type shardedSnapshot struct {
 }
 
 // shardSnap is one shard's immutable state: a built index (nil while the
-// shard holds only buffered writes), the insert buffer, and delete
-// tombstones. All three are copy-on-write: writers build a new shardSnap
-// and swap the snapshot; readers never see a mutation.
+// shard holds only buffered writes) and its delta, two sorted runs
+// (sharded_delta.go). Writers build a new shardSnap and swap the snapshot;
+// a run's entries, once published, never change, so readers never see a
+// mutation.
 type shardSnap struct {
-	idx    *Index        // immutable once published; nil for an empty shard
-	extra  []Point       // inserts not yet compacted into idx
-	dead   map[Point]int // tombstoned multiset of deletes against idx
-	deadN  int           // total tombstone count
-	bounds Rect          // MBR of live contents (never shrinks on delete)
+	idx    *Index   // immutable once published; nil for an empty shard
+	extra  deltaRun // inserts not yet compacted into idx, one entry each
+	dead   deltaRun // tombstones against idx, one entry per deleted copy
+	bounds Rect     // MBR of live contents (never shrinks on delete)
 	empty  bool
 	// occ is idx's occupancy bitmap (see sharded_occupancy.go); nil means
 	// "assume anything" (no pruning). It describes idx only — the insert
@@ -154,7 +155,7 @@ type shardSnap struct {
 
 // live returns the number of points the shard currently serves.
 func (s *shardSnap) live() int {
-	n := len(s.extra) - s.deadN
+	n := s.extra.size() - s.dead.size()
 	if s.idx != nil {
 		n += s.idx.Len()
 	}
@@ -162,7 +163,7 @@ func (s *shardSnap) live() int {
 }
 
 // backlog is the write-buffer pressure that triggers compaction.
-func (s *shardSnap) backlog() int { return len(s.extra) + s.deadN }
+func (s *shardSnap) backlog() int { return s.extra.size() + s.dead.size() }
 
 // shardCtl is a shard's mutable control state. advisor is an atomic pointer
 // because query paths observe into it while rebuilds replace it; the other
@@ -656,64 +657,27 @@ func (ss *shardSnap) mayContain(r Rect) bool {
 	if ss.idx != nil && (ss.occ == nil || ss.occ.overlaps(r)) {
 		return true
 	}
-	return len(ss.extra) > 0 && ss.extraBounds.Intersects(r)
+	return ss.extra.size() > 0 && ss.extraBounds.Intersects(r)
 }
 
 // shardRange runs a range query against one immutable shard snapshot.
 func shardRange(ss *shardSnap, r Rect, dst []Point) []Point {
-	before := len(dst)
 	if ss.idx != nil {
-		dst = ss.idx.RangeQueryAppend(dst, r)
+		before := len(dst)
+		dst = ss.dead.dropDead(ss.idx.RangeQueryAppend(dst, r), before, r)
 	}
-	if ss.deadN > 0 {
-		dst = filterDead(dst, before, ss.dead)
-	}
-	return geom.AppendInside(dst, ss.extra, r)
+	return ss.extra.appendInside(dst, r)
 }
 
 func shardCount(ss *shardSnap, r Rect) int {
-	n := 0
+	n := ss.extra.countInside(r)
 	if ss.idx != nil {
-		n = ss.idx.RangeCount(r)
-		// Every tombstone refers to points present in the index (Delete
+		// Every tombstone refers to a copy present in the index (Delete
 		// checks before tombstoning), so subtracting the in-rectangle
 		// tombstones is exact — no need to materialize the result set.
-		for p, c := range ss.dead {
-			if r.Contains(p) {
-				n -= c
-			}
-		}
+		n += ss.idx.RangeCount(r) - ss.dead.countInside(r)
 	}
-	return n + geom.CountInside(ss.extra, r)
-}
-
-// filterDead removes tombstoned occurrences from pts[from:], respecting
-// multiset semantics: a tombstone count of c removes at most c copies.
-func filterDead(pts []Point, from int, dead map[Point]int) []Point {
-	var remaining map[Point]int
-	out := pts[:from]
-	for _, p := range pts[from:] {
-		c, ok := dead[p]
-		if !ok {
-			out = append(out, p)
-			continue
-		}
-		if remaining == nil {
-			remaining = make(map[Point]int, len(dead))
-			for k, v := range dead {
-				remaining[k] = v
-			}
-			c = remaining[p]
-		} else {
-			c = remaining[p]
-		}
-		if c > 0 {
-			remaining[p] = c - 1
-			continue
-		}
-		out = append(out, p)
-	}
-	return out
+	return n
 }
 
 // PointQuery reports whether a point equal to p is indexed. Z-order routing
@@ -749,19 +713,15 @@ func pointInShard(snap *shardedSnapshot, i int, p Point) bool {
 	if ss.empty {
 		return false
 	}
-	for _, q := range ss.extra {
-		if q == p {
-			return true
-		}
+	if n, _ := ss.extra.count(p); n > 0 {
+		return true
 	}
 	if ss.idx == nil {
 		return false
 	}
-	if ss.deadN > 0 {
-		if d := ss.dead[p]; d > 0 {
-			// Some copies are tombstoned; survive only if the index holds more.
-			return ss.idx.RangeCount(pointRect(p)) > d
-		}
+	if d, _ := ss.dead.count(p); d > 0 {
+		// Some copies are tombstoned; survive only if the index holds more.
+		return ss.idx.RangeCount(pointRect(p)) > d
 	}
 	return ss.idx.PointQuery(p)
 }
@@ -837,8 +797,8 @@ func (snap *shardedSnapshot) knnHalfWidth(q Point, k int) float64 {
 
 // ---------------------------------------------------------------- writes
 
-// Insert adds p. The write lands in the owning shard's copy-on-write delta
-// buffer; readers observe it on their next snapshot load, without blocking.
+// Insert adds p. The write lands in the owning shard's insert run; readers
+// observe it on their next snapshot load, without blocking.
 // During a live repartition the write additionally joins the migration log,
 // which the migration replays — routed by the new plan — before its swap.
 func (s *Sharded) Insert(p Point) {
@@ -846,46 +806,9 @@ func (s *Sharded) Insert(p Point) {
 	snap := s.snap.Load()
 	i := snap.plan.Locate(p)
 	ss := snap.shards[i]
-	ns := &shardSnap{
-		idx:   ss.idx,
-		extra: append(append(make([]Point, 0, len(ss.extra)+1), ss.extra...), p),
-		dead:  ss.dead,
-		deadN: ss.deadN,
-		occ:   ss.occ,
-	}
-	if ss.empty {
-		ns.bounds = pointRect(p)
-	} else {
-		ns.bounds = ss.bounds.ExtendPoint(p)
-	}
-	if len(ss.extra) == 0 {
-		ns.extraBounds = pointRect(p)
-	} else {
-		ns.extraBounds = ss.extraBounds.ExtendPoint(p)
-	}
-	s.swapShard(snap, i, ns)
-	s.inserts.Add(1)
-	ctl := snap.ctls[i]
-	if ctl.rebuilding {
-		ctl.log = append(ctl.log, shardOp{p: p})
-	}
-	if s.repartInFlight {
-		s.repartLog = append(s.repartLog, shardOp{p: p})
-	}
-	// Log under mu, right after the apply: sequence order then equals
-	// apply order, so replay reproduces exactly this history.
-	walSeq := s.walAppendLocked(p, false)
-	overflow := !ctl.rebuilding && !s.repartInFlight && ns.backlog() >= s.opts.compactThreshold
-	background := s.loop != nil && !s.closed
-	s.mu.Unlock()
-	s.walAck(walSeq)
-	if overflow {
-		if background {
-			s.kick()
-		} else {
-			s.rebuildShard(i)
-		}
-	}
+	s.commitWrite(snap, i, &shardSnap{idx: ss.idx, extra: ss.extra.add(p), dead: ss.dead,
+		bounds: extendBounds(ss.bounds, ss.empty, p), occ: ss.occ,
+		extraBounds: extendBounds(ss.extraBounds, ss.extra.size() == 0, p)}, shardOp{p: p})
 }
 
 // Delete removes one point equal to p, reporting whether one was found.
@@ -896,55 +819,44 @@ func (s *Sharded) Delete(p Point) bool {
 	snap := s.snap.Load()
 	i := snap.plan.Locate(p)
 	ss := snap.shards[i]
-	ctl := snap.ctls[i]
+	ns := &shardSnap{idx: ss.idx, extra: ss.extra, dead: ss.dead, bounds: ss.bounds,
+		occ: ss.occ, extraBounds: ss.extraBounds}
+	if extra, ok := ss.extra.without(p); ok {
+		// A buffered insert is the cheapest thing to undo: it cancels
+		// outright, leaving no tombstone behind.
+		ns.extra = extra
+		ns.empty = ss.idx == nil && extra.size() == 0 && ss.dead.size() == 0
+	} else if n, _ := ss.dead.count(p); ss.idx != nil && ss.idx.RangeCount(pointRect(p)) > n {
+		ns.dead = ss.dead.add(p)
+	} else {
+		s.mu.Unlock()
+		return false
+	}
+	s.commitWrite(snap, i, ns, shardOp{p: p, del: true})
+	return true
+}
 
-	// A buffered insert is the cheapest thing to undo.
-	for j, q := range ss.extra {
-		if q == p {
-			extra := append([]Point(nil), ss.extra[:j]...)
-			extra = append(extra, ss.extra[j+1:]...)
-			ns := &shardSnap{idx: ss.idx, extra: extra, dead: ss.dead, deadN: ss.deadN,
-				bounds: ss.bounds, empty: ss.idx == nil && len(extra) == 0 && ss.deadN == 0,
-				occ: ss.occ, extraBounds: ss.extraBounds}
-			s.swapShard(snap, i, ns)
-			s.deletes.Add(1)
-			if ctl.rebuilding {
-				ctl.log = append(ctl.log, shardOp{p: p, del: true})
-			}
-			if s.repartInFlight {
-				s.repartLog = append(s.repartLog, shardOp{p: p, del: true})
-			}
-			walSeq := s.walAppendLocked(p, true)
-			s.mu.Unlock()
-			s.walAck(walSeq)
-			return true
-		}
-	}
-	if ss.idx == nil {
-		s.mu.Unlock()
-		return false
-	}
-	have := ss.idx.RangeCount(pointRect(p))
-	if have <= ss.dead[p] {
-		s.mu.Unlock()
-		return false
-	}
-	dead := make(map[Point]int, len(ss.dead)+1)
-	for k, v := range ss.dead {
-		dead[k] = v
-	}
-	dead[p]++
-	ns := &shardSnap{idx: ss.idx, extra: ss.extra, dead: dead, deadN: ss.deadN + 1,
-		bounds: ss.bounds, occ: ss.occ, extraBounds: ss.extraBounds}
+// commitWrite publishes ns as shard i's state after op and records op: in
+// the rebuild and migration logs while they are open, then in the WAL. It
+// releases s.mu, which the caller holds, waits until op is durable, and
+// compacts the shard if its backlog overflowed.
+func (s *Sharded) commitWrite(snap *shardedSnapshot, i int, ns *shardSnap, op shardOp) {
 	s.swapShard(snap, i, ns)
-	s.deletes.Add(1)
+	if op.del {
+		s.deletes.Add(1)
+	} else {
+		s.inserts.Add(1)
+	}
+	ctl := snap.ctls[i]
 	if ctl.rebuilding {
-		ctl.log = append(ctl.log, shardOp{p: p, del: true})
+		ctl.log = append(ctl.log, op)
 	}
 	if s.repartInFlight {
-		s.repartLog = append(s.repartLog, shardOp{p: p, del: true})
+		s.repartLog = append(s.repartLog, op)
 	}
-	walSeq := s.walAppendLocked(p, true)
+	// Log under mu, right after the apply: sequence order then equals
+	// apply order, so replay reproduces exactly this history.
+	walSeq := s.walAppendLocked(op.p, op.del)
 	overflow := !ctl.rebuilding && !s.repartInFlight && ns.backlog() >= s.opts.compactThreshold
 	background := s.loop != nil && !s.closed
 	s.mu.Unlock()
@@ -956,7 +868,6 @@ func (s *Sharded) Delete(p Point) bool {
 			s.rebuildShard(i)
 		}
 	}
-	return true
 }
 
 // swapShard publishes a snapshot identical to old except for shard i,
@@ -1064,15 +975,11 @@ func (s *Sharded) rebuildShard(i int) bool {
 	// set) and replayed onto the new index before the swap.
 	pts := materialize(ss)
 
-	var idx *Index
-	var occ *occupancy
+	// The shard's next state, private until the swap: a shard emptied before
+	// the rebuild gets no index, and its logged writes replay into extra.
+	ns := &shardSnap{empty: true}
 	if len(pts) > 0 {
-		var err error
-		idx, err = buildShardIndex(pts, recent, s.shardIndexOptions(epoch, i, gen+1))
-		if err == nil {
-			s.attachStoreObs(idx)
-			occ = buildOccupancy(pts, idx.Bounds())
-		}
+		idx, err := buildShardIndex(pts, recent, s.shardIndexOptions(epoch, i, gen+1))
 		if err != nil {
 			// Unreachable for non-empty pts on the RAM backend; under disk
 			// storage a failed page-file creation lands here. Fail safe by
@@ -1086,23 +993,24 @@ func (s *Sharded) rebuildShard(i int) bool {
 			s.mu.Unlock()
 			return false
 		}
+		s.attachStoreObs(idx)
+		ns = &shardSnap{idx: idx, bounds: idx.Bounds(), occ: buildOccupancy(pts, idx.Bounds())}
 	}
-
 	s.mu.Lock()
-	if idx != nil {
-		// Drain the logged write backlog in batches OUTSIDE the mutex: on
-		// a disk-backed shard every replayed op faults and rewrites a
-		// page, and holding s.mu across that I/O would stall all writers
-		// — the same reasoning as materialize above. Bounded rounds so a
-		// sustained write stream cannot livelock the swap; the (small)
-		// remainder is applied under the lock below.
-		for round := 0; len(ctl.log) > 0 && round < 4; round++ {
-			batch := ctl.log
-			ctl.log = nil
-			s.mu.Unlock()
-			replayOps(idx, occ, batch)
-			s.mu.Lock()
+	// Drain the logged write backlog in batches OUTSIDE the mutex: on a
+	// disk-backed shard every replayed op faults and rewrites a page, and
+	// holding s.mu across that I/O would stall all writers — the same
+	// reasoning as materialize above. Bounded rounds so a sustained write
+	// stream cannot livelock the swap; the (small) remainder is applied under
+	// the lock below.
+	for round := 0; len(ctl.log) > 0 && round < 4; round++ {
+		batch := ctl.log
+		ctl.log = nil
+		s.mu.Unlock()
+		for _, op := range batch {
+			ns.apply(op)
 		}
+		s.mu.Lock()
 	}
 	defer s.mu.Unlock()
 	ctl.rebuilding = false
@@ -1111,39 +1019,19 @@ func (s *Sharded) rebuildShard(i int) bool {
 		// may flush a few more, which is an acceptable monitoring blur.
 		s.retired = s.retired.Add(ss.idx.Stats().AtomicSnapshot())
 	}
-	var ns *shardSnap
-	if idx != nil {
-		replayOps(idx, occ, ctl.log)
-		if idx.Len() > 0 {
-			ns = &shardSnap{idx: idx, bounds: idx.Bounds(), occ: occ}
-			ctl.gen = gen + 1
-		} else {
-			discardIndexStorage(idx)
-			ns = &shardSnap{empty: true}
-		}
-	} else {
-		// The shard was fully emptied before the rebuild; replay logged
-		// writes into a fresh delta buffer.
-		ns = &shardSnap{empty: true}
-		for _, op := range ctl.log {
-			if op.del {
-				for j, q := range ns.extra {
-					if q == op.p {
-						ns.extra = append(ns.extra[:j], ns.extra[j+1:]...)
-						break
-					}
-				}
-			} else {
-				ns.extra = append(ns.extra, op.p)
-			}
-		}
-		if len(ns.extra) > 0 {
-			ns.empty = false
-			ns.bounds = geom.RectFromPoints(ns.extra)
-			ns.extraBounds = ns.bounds
-		}
+	for _, op := range ctl.log {
+		ns.apply(op)
 	}
 	ctl.log = nil
+	switch {
+	case ns.idx == nil:
+		ns.empty = ns.extra.size() == 0
+	case ns.idx.Len() == 0:
+		discardIndexStorage(ns.idx)
+		ns = &shardSnap{empty: true}
+	default:
+		ctl.gen = gen + 1
+	}
 	if ns.idx != nil {
 		// The recent window becomes the new drift baseline.
 		ctl.advisor.Store(NewRebuildAdvisor(ns.idx.Bounds(), recent, s.opts.windowSize, s.opts.driftThreshold))
@@ -1162,29 +1050,36 @@ func (s *Sharded) rebuildShard(i int) bool {
 	return true
 }
 
-// replayOps applies logged writes onto a not-yet-published rebuild index,
-// keeping its occupancy bitmap a superset of its contents.
-func replayOps(idx *Index, occ *occupancy, ops []shardOp) {
-	for _, op := range ops {
-		if op.del {
-			idx.Delete(op.p)
-		} else {
-			idx.Insert(op.p)
-			occ.add(op.p)
+// apply replays a logged write onto a shard state no reader sees yet — a
+// rebuild's or a migration's — keeping its occupancy bitmap and MBRs
+// supersets of its contents. The write succeeded on the serving side, so a
+// deleted point is here too: in the index, or in the insert run when there
+// is no index or an earlier logged insert put it there.
+func (ss *shardSnap) apply(op shardOp) {
+	if op.del {
+		if ss.idx == nil || !ss.idx.Delete(op.p) {
+			ss.extra, _ = ss.extra.without(op.p)
 		}
+		return
 	}
+	ss.bounds = extendBounds(ss.bounds, ss.empty, op.p)
+	ss.empty = false
+	if ss.idx != nil {
+		ss.idx.Insert(op.p)
+		ss.occ.add(op.p)
+		return
+	}
+	ss.extraBounds = extendBounds(ss.extraBounds, ss.extra.size() == 0, op.p)
+	ss.extra = ss.extra.add(op.p)
 }
 
 // materialize flattens a shard snapshot into its live point set.
 func materialize(ss *shardSnap) []Point {
 	var pts []Point
 	if ss.idx != nil {
-		pts = ss.idx.Points()
-		if ss.deadN > 0 {
-			pts = filterDead(pts, 0, ss.dead)
-		}
+		pts = ss.dead.dropDead(ss.idx.Points(), 0, everywhere)
 	}
-	return append(pts, ss.extra...)
+	return append(pts, ss.extra.pts...)
 }
 
 // ------------------------------------------------------------ inspection
@@ -1226,7 +1121,7 @@ func (s *Sharded) Bytes() int64 {
 		if ss.idx != nil {
 			b += ss.idx.Bytes()
 		}
-		b += int64(len(ss.extra))*16 + int64(len(ss.dead))*24
+		b += int64(ss.extra.size()+ss.dead.size()) * 16
 	}
 	return b
 }

@@ -7,9 +7,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"github.com/wazi-index/wazi/internal/core"
-	"github.com/wazi-index/wazi/internal/geom"
 	"github.com/wazi-index/wazi/internal/shard"
 	"github.com/wazi-index/wazi/internal/storage"
 	"github.com/wazi-index/wazi/internal/zorder"
@@ -103,10 +103,43 @@ type shardedShardRecord struct {
 // default shard count is far beyond any real deployment here.
 const maxSnapshotShards = 1024
 
-// deadRecord is one tombstone multiset entry.
+// deadRecord is one tombstone multiset entry: N copies of P are deleted.
 type deadRecord struct {
 	P Point
 	N int
+}
+
+// deadRecords tallies a tombstone run into records, one per distinct point,
+// in sorted order: one state always encodes to the same bytes.
+func deadRecords(dead deltaRun) (out []deadRecord) {
+	for _, p := range slices.SortedFunc(slices.Values(dead.pts), cmpXY) {
+		if k := len(out) - 1; k >= 0 && out[k].P == p {
+			out[k].N++
+		} else {
+			out = append(out, deadRecord{P: p, N: 1})
+		}
+	}
+	return out
+}
+
+// loadDead rebuilds a tombstone run from its records, refusing what no Save
+// writes: a count below one, a point recorded twice, or more copies than
+// idx holds (which also bounds the run by the index's size).
+func loadDead(recs []deadRecord, idx *Index) (dead deltaRun, err error) {
+	slices.SortFunc(recs, func(a, b deadRecord) int { return cmpXY(a.P, b.P) })
+	for k, rec := range recs {
+		switch {
+		case rec.N < 1:
+			return dead, fmt.Errorf("tombstone %v has count %d", rec.P, rec.N)
+		case k > 0 && recs[k-1].P == rec.P:
+			return dead, fmt.Errorf("tombstone %v recorded twice", rec.P)
+		case idx == nil || rec.N > idx.RangeCount(pointRect(rec.P)):
+			return dead, fmt.Errorf("tombstone %v deletes %d copies, more than the index holds", rec.P, rec.N)
+		}
+		dead.pts = append(dead.pts, slices.Repeat([]Point{rec.P}, rec.N)...)
+	}
+	dead.sorted = len(dead.pts)
+	return dead, nil
 }
 
 // Save serializes the Sharded index — partition plan, per-shard indexes,
@@ -173,7 +206,8 @@ func (s *Sharded) Save(w io.Writer) error {
 	for i, ss := range snap.shards {
 		rec := shardedShardRecord{
 			Empty:    ss.empty,
-			Extra:    ss.extra,
+			Extra:    slices.SortedFunc(slices.Values(ss.extra.pts), cmpXY),
+			Dead:     deadRecords(ss.dead),
 			Bounds:   ss.bounds,
 			Recent:   recents[i],
 			Rebuilds: rebuilds[i],
@@ -184,9 +218,6 @@ func (s *Sharded) Save(w io.Writer) error {
 			rec.OccFrame = ss.occ.frame
 			rec.OccSat = ss.occ.sat
 			rec.OccBits = ss.occ.bits
-		}
-		for p, n := range ss.dead {
-			rec.Dead = append(rec.Dead, deadRecord{P: p, N: n})
 		}
 		if ss.idx != nil {
 			var buf bytes.Buffer
@@ -299,19 +330,15 @@ func LoadSharded(r io.Reader, opts ...ShardedOption) (*Sharded, error) {
 		ctl.recent.preload(rec.Recent)
 		snap.ctls[i] = ctl
 		totalRebuilds += rec.Rebuilds
-		ss := &shardSnap{empty: rec.Empty, extra: rec.Extra, bounds: rec.Bounds}
-		if len(rec.Extra) > 0 {
-			ss.extraBounds = geom.RectFromPoints(rec.Extra)
+		ss := &shardSnap{empty: rec.Empty, bounds: rec.Bounds}
+		snap.shards[i] = ss
+		slices.SortFunc(rec.Extra, cmpXY)
+		ss.extra = deltaRun{pts: rec.Extra, sorted: len(rec.Extra)}
+		for k, p := range rec.Extra {
+			ss.extraBounds = extendBounds(ss.extraBounds, k == 0, p)
 		}
 		if rec.HasIdx && rec.HasOcc && plausibleOccupancy(rec) {
 			ss.occ = &occupancy{frame: rec.OccFrame, sat: rec.OccSat, bits: rec.OccBits}
-		}
-		if len(rec.Dead) > 0 {
-			ss.dead = make(map[Point]int, len(rec.Dead))
-			for _, d := range rec.Dead {
-				ss.dead[d.P] = d.N
-				ss.deadN += d.N
-			}
 		}
 		if rec.HasIdx && cfg.storageDir != "" {
 			if rec.Gen < 0 {
@@ -345,7 +372,12 @@ func LoadSharded(r io.Reader, opts ...ShardedOption) (*Sharded, error) {
 			ss.idx = idx
 			ctl.advisor.Store(NewRebuildAdvisor(idx.Bounds(), rec.Recent, cfg.windowSize, cfg.driftThreshold))
 		}
-		snap.shards[i] = ss
+		dead, err := loadDead(rec.Dead, ss.idx)
+		if err != nil {
+			closeLoaded()
+			return nil, fmt.Errorf("wazi: corrupt sharded snapshot: shard %d: %w", i, err)
+		}
+		ss.dead = dead
 	}
 	if cfg.storageDir != "" {
 		// Reclaim page files no shard references — retired generations the

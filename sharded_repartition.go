@@ -367,36 +367,6 @@ func (s *Sharded) migrate(snap *shardedSnapshot, window []Rect) (bool, error) {
 // migration until the swap, so mutating them in place is safe.
 func applyMigratedOps(plan *shard.Plan, shards []*shardSnap, ops []shardOp) {
 	for _, op := range ops {
-		ss := shards[plan.Locate(op.p)]
-		if op.del {
-			// The delete succeeded on the serving side, so the point exists
-			// here too: either materialized into the built index or added by
-			// an earlier logged insert.
-			if ss.idx != nil && ss.idx.Delete(op.p) {
-				continue
-			}
-			for j, q := range ss.extra {
-				if q == op.p {
-					ss.extra = append(ss.extra[:j], ss.extra[j+1:]...)
-					break
-				}
-			}
-			continue
-		}
-		if ss.idx != nil {
-			ss.idx.Insert(op.p)
-			ss.occ.add(op.p)
-			ss.bounds = ss.bounds.ExtendPoint(op.p)
-			continue
-		}
-		if ss.empty {
-			ss.empty = false
-			ss.bounds = pointRect(op.p)
-			ss.extraBounds = pointRect(op.p)
-		} else {
-			ss.bounds = ss.bounds.ExtendPoint(op.p)
-			ss.extraBounds = ss.extraBounds.ExtendPoint(op.p)
-		}
-		ss.extra = append(ss.extra, op.p)
+		shards[plan.Locate(op.p)].apply(op)
 	}
 }

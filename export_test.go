@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"testing"
-
-	"github.com/wazi-index/wazi/internal/shard"
 )
 
 // RecentWindow returns shard i's recent-query ring contents — a test hook
@@ -28,9 +26,8 @@ func (s *Sharded) ShardState(i int) (empty, bufferOnly bool) {
 }
 
 // DoctorSnapshotVersion re-encodes a saved sharded snapshot with the header
-// version replaced, preserving the migration record and every shard record
-// — a test hook for asserting that Load refuses future format versions with
-// a clear error.
+// version replaced, preserving every shard record — a test hook for
+// asserting that Load refuses any other format version with a clear error.
 func DoctorSnapshotVersion(t *testing.T, buf *bytes.Buffer, version int) []byte {
 	t.Helper()
 	return doctorSnapshot(t, buf.Bytes(), func(h *shardedHeader) { h.Version = version }, nil)
@@ -38,7 +35,7 @@ func DoctorSnapshotVersion(t *testing.T, buf *bytes.Buffer, version int) []byte 
 
 // doctorSnapshot re-encodes a saved sharded snapshot with its header passed
 // through editHeader and each shard record through editShard (either may be
-// nil), preserving the migration record.
+// nil).
 func doctorSnapshot(t testing.TB, data []byte, editHeader func(*shardedHeader), editShard func(int, *shardedShardRecord)) []byte {
 	t.Helper()
 	dec := gob.NewDecoder(bytes.NewReader(data))
@@ -55,13 +52,6 @@ func doctorSnapshot(t testing.TB, data []byte, editHeader func(*shardedHeader), 
 	if err := enc.Encode(&h); err != nil {
 		t.Fatalf("doctoring snapshot: encode header: %v", err)
 	}
-	var mig migrationRecord
-	if err := dec.Decode(&mig); err != nil {
-		t.Fatalf("doctoring snapshot: decode migration record: %v", err)
-	}
-	if err := enc.Encode(&mig); err != nil {
-		t.Fatalf("doctoring snapshot: encode migration record: %v", err)
-	}
 	for i := 0; i < shards; i++ {
 		var rec shardedShardRecord
 		if err := dec.Decode(&rec); err != nil {
@@ -75,45 +65,4 @@ func doctorSnapshot(t testing.TB, data []byte, editHeader func(*shardedHeader), 
 		}
 	}
 	return out.Bytes()
-}
-
-// ForceMigrationState installs an in-flight migration record (target plan
-// learned from the live points under the given workload) without running
-// the migration — the deterministic way for tests and fuzz seeds to obtain
-// a real mid-migration Save. Call ClearMigrationState before further use.
-func (s *Sharded) ForceMigrationState(t testing.TB, window []Rect, shards int) {
-	t.Helper()
-	snap := s.snap.Load()
-	var pts []Point
-	for _, ss := range snap.shards {
-		pts = append(pts, materialize(ss)...)
-	}
-	if len(pts) == 0 {
-		t.Fatal("ForceMigrationState: empty index")
-	}
-	target := shard.Partition(pts, window, shards)
-	s.mu.Lock()
-	s.repartInFlight = true
-	s.repartTarget = target
-	s.mu.Unlock()
-}
-
-// ForceMigrationLearnPhase marks a migration in flight with no target plan
-// yet — the learn-phase window between raising the in-flight flag and
-// finishing Partition, during which Save must still produce a restorable
-// snapshot. Call ClearMigrationState before further use.
-func (s *Sharded) ForceMigrationLearnPhase() {
-	s.mu.Lock()
-	s.repartInFlight = true
-	s.repartTarget = nil
-	s.mu.Unlock()
-}
-
-// ClearMigrationState undoes ForceMigrationState.
-func (s *Sharded) ClearMigrationState() {
-	s.mu.Lock()
-	s.repartInFlight = false
-	s.repartTarget = nil
-	s.repartLog = nil
-	s.mu.Unlock()
 }

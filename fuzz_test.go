@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
-
-	"github.com/wazi-index/wazi/internal/shard"
 )
 
 // Fuzz targets over the persistence decoders: arbitrary input must produce
@@ -77,93 +75,33 @@ func FuzzLoadSharded(f *testing.F) {
 	if err := s.Save(&buf); err != nil {
 		f.Fatal(err)
 	}
-	s.Close()
 	f.Add(buf.Bytes())
 	f.Add(buf.Bytes()[:len(buf.Bytes())/2])
 	flipped := append([]byte(nil), buf.Bytes()...)
 	flipped[len(flipped)/4] ^= 0x10
 	f.Add(flipped)
 	f.Add([]byte{})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := LoadSharded(bytes.NewReader(data), WithoutAutoRebuild())
-		if err != nil {
-			return
-		}
-		got.RangeQuery(Rect{MinX: 0.2, MinY: 0.2, MaxX: 0.8, MaxY: 0.8})
-		_ = got.Len()
-		got.Close()
-	})
-}
-
-// FuzzLoadShardedMigration targets the migration half of the sharded
-// snapshot decoder: the epoch-carrying header and the plan-migration record
-// a mid-flight Save writes. Seeds are REAL mid-migration snapshots — taken
-// while the repartitioner's in-flight state and target plan were installed
-// — so the fuzzer starts inside the record format and mutates outward.
-// Arbitrary input must produce a clean error or a usable index, never a
-// panic.
-func FuzzLoadShardedMigration(f *testing.F) {
-	pts := fuzzPoints(700, 7)
-	rng := rand.New(rand.NewSource(8))
-	head := make([]Rect, 40)
-	for i := range head {
-		cx, cy := 0.2+rng.Float64()*0.1, 0.2+rng.Float64()*0.1
-		head[i] = Rect{MinX: cx - 0.04, MinY: cy - 0.04, MaxX: cx + 0.04, MaxY: cy + 0.04}
-	}
-	s, err := NewSharded(pts, head, WithShards(4), WithoutAutoRebuild(),
-		WithIndexOptions(WithLeafSize(32), WithSeed(9)))
-	if err != nil {
-		f.Fatal(err)
-	}
-	defer s.Close()
-	// Drive a shifted hotspot and migrate once, so the snapshot carries a
-	// nonzero epoch; then install a second in-flight migration and save.
-	tail := make([]Rect, 1500)
-	for i := range tail {
+	// Drive a shifted hotspot and migrate once, so a snapshot with a nonzero
+	// epoch is in the corpus too.
+	for range 1500 {
 		cx, cy := 0.8+rng.Float64()*0.1, 0.8+rng.Float64()*0.1
-		tail[i] = Rect{MinX: cx - 0.04, MinY: cy - 0.04, MaxX: cx + 0.04, MaxY: cy + 0.04}
-	}
-	for _, q := range tail {
-		s.RangeQuery(q)
+		s.RangeQuery(Rect{MinX: cx - 0.04, MinY: cy - 0.04, MaxX: cx + 0.04, MaxY: cy + 0.04})
 	}
 	if !s.Repartition() {
 		f.Fatal("seed setup: repartition declined")
 	}
-	for i := 0; i < 30; i++ {
+	for range 30 {
 		s.Insert(Point{X: rng.Float64(), Y: rng.Float64()})
 	}
-	target := shard.Partition(pts, head, 3)
-	s.mu.Lock()
-	s.repartInFlight = true
-	s.repartTarget = target
-	// A couple of logged writes, as a real mid-migration capture would hold.
-	s.repartLog = []shardOp{{p: Point{X: 0.5, Y: 0.5}}, {p: pts[0], del: true}}
-	s.mu.Unlock()
-	var mid bytes.Buffer
-	err = s.Save(&mid)
-	s.mu.Lock()
-	s.repartInFlight = false
-	s.repartTarget = nil
-	s.repartLog = nil
-	s.mu.Unlock()
-	if err != nil {
+	var migrated bytes.Buffer
+	if err := s.Save(&migrated); err != nil {
 		f.Fatal(err)
 	}
-
-	f.Add(mid.Bytes())
-	f.Add(mid.Bytes()[:len(mid.Bytes())/2])
-	f.Add(mid.Bytes()[:40]) // header survives, migration record truncated
-	flipped := append([]byte(nil), mid.Bytes()...)
+	s.Close()
+	f.Add(migrated.Bytes())
+	flipped = append([]byte(nil), migrated.Bytes()...)
 	flipped[len(flipped)/5] ^= 0x20
 	f.Add(flipped)
-	// An idle-migration snapshot too, so both record shapes are in corpus.
-	var idle bytes.Buffer
-	if err := s.Save(&idle); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(idle.Bytes())
-	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := LoadSharded(bytes.NewReader(data), WithoutAutoRebuild())
@@ -172,11 +110,10 @@ func FuzzLoadShardedMigration(f *testing.F) {
 		}
 		// An accepted snapshot must be fully usable: queryable, writable,
 		// migratable, and re-saveable without panicking.
-		got.RangeQuery(Rect{MinX: 0.1, MinY: 0.1, MaxX: 0.9, MaxY: 0.9})
+		got.RangeQuery(Rect{MinX: 0.2, MinY: 0.2, MaxX: 0.8, MaxY: 0.8})
 		got.PointQuery(Point{X: 0.5, Y: 0.5})
 		_ = got.Len()
 		_ = got.PlanEpoch()
-		_ = got.Migrating()
 		got.Insert(Point{X: 0.25, Y: 0.75})
 		got.CheckRepartition()
 		var out bytes.Buffer

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,14 +49,10 @@ type Sharded struct {
 	obs *ShardedObs
 
 	// Online repartitioning state (all guarded by mu). While a migration is
-	// in flight, every write is applied to the serving (old-plan) snapshot
-	// as usual AND appended to repartLog, which the migration replays onto
-	// the new-plan shards — routed by the new plan — before the atomic plan
-	// swap. repartTarget is the plan being migrated to, exposed for
-	// observability and persisted by Save as the migration record.
+	// in flight, writes land in the serving (old-plan) shards' deltas as
+	// usual; at the swap the migration rebases them onto the new-plan shards
+	// (sharded_repartition.go).
 	repartInFlight bool
-	repartLog      []shardOp
-	repartTarget   *shard.Plan
 	// repartSeen holds the per-shard load totals at the last CheckRepartition
 	// pass, so the advisor judges imbalance on load deltas, not lifetime sums.
 	repartSeen []int64
@@ -169,26 +166,20 @@ func (s *shardSnap) backlog() int { return s.extra.size() + s.dead.size() }
 // because query paths observe into it while rebuilds replace it; the other
 // fields are guarded by Sharded.mu.
 type shardCtl struct {
-	advisor    atomic.Pointer[RebuildAdvisor]
-	recent     *queryRing
+	advisor atomic.Pointer[RebuildAdvisor]
+	recent  *queryRing
+	// rebuilding marks a rebuild in flight. Writes meanwhile land in the
+	// shard's delta as usual, which the rebuild rebases at its swap.
 	rebuilding bool
-	log        []shardOp // writes arriving while a rebuild is in flight
 	rebuilds   int
 	// gen numbers the shard's page-file generation under disk storage;
 	// every rebuild writes a fresh file so readers of the old snapshot are
-	// never invalidated.
+	// never invalidated. Only the rebuild in flight changes it.
 	gen int
 	// load counts queries this shard served (range/count fan-out targets and
 	// point lookups). The repartition advisor reads the cross-shard load
 	// vector to detect imbalance; a repartition resets it (fresh ctls).
 	load atomic.Int64
-}
-
-// shardOp is one logged write, replayed onto a freshly rebuilt shard index
-// before it is swapped in.
-type shardOp struct {
-	p   Point
-	del bool
 }
 
 // queryRing is a thread-safe bounded ring of recently observed queries; its
@@ -385,8 +376,12 @@ func (c *shardedConfig) fill() {
 // partitioner assigns each point a shard, every non-empty shard gets its own
 // WaZI index built with the slice of workload that intersects its bounds,
 // and (unless disabled) a background goroutine starts watching for drift.
-// Call Close when done to stop the background machinery.
+// Call Close when done to stop the background machinery. The plan and the
+// indexes are learned from the finite points, and NewSharded returns
+// ErrNoPoints when there are none; a point with an infinite or NaN
+// coordinate is buffered in its shard's insert run.
 func NewSharded(points []Point, workload []Rect, opts ...ShardedOption) (*Sharded, error) {
+	points, rest := foldable(points)
 	if len(points) == 0 {
 		return nil, ErrNoPoints
 	}
@@ -410,32 +405,12 @@ func NewSharded(points []Point, workload []Rect, opts ...ShardedOption) (*Sharde
 		s.obs = newShardedObs()
 	}
 	s.planRef = queryHist(plan.Bounds(), workload)
-	snap := &shardedSnapshot{plan: plan, shards: make([]*shardSnap, plan.NumShards()),
-		ctls: make([]*shardCtl, plan.NumShards())}
-	for i, group := range plan.Groups {
-		ctl := &shardCtl{recent: newQueryRing(cfg.windowSize)}
-		snap.ctls[i] = ctl
-		if len(group) == 0 {
-			snap.shards[i] = &shardSnap{empty: true}
-			continue
-		}
-		bounds := geom.RectFromPoints(group)
-		shardQs := intersectingQueries(workload, bounds)
-		idx, err := buildShardIndex(group, shardQs, s.shardIndexOptions(0, i, 0))
-		if err != nil {
-			// Unwind the shards already built so an aborted cold start
-			// leaks no page-file descriptors.
-			for _, built := range snap.shards {
-				if built != nil && built.idx != nil {
-					built.idx.Close()
-				}
-			}
-			return nil, fmt.Errorf("wazi: building shard %d: %w", i, err)
-		}
-		s.attachStoreObs(idx)
-		snap.shards[i] = &shardSnap{idx: idx, bounds: idx.Bounds(),
-			occ: buildOccupancy(group, idx.Bounds())}
-		ctl.advisor.Store(NewRebuildAdvisor(idx.Bounds(), shardQs, cfg.windowSize, cfg.driftThreshold))
+	snap, err := s.buildShards(plan, workload, 0, false)
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range rest {
+		snap.shards[plan.Locate(p)].buffer(p)
 	}
 	s.snap.Store(snap)
 	// Replay any WAL tail before the background loop starts: a cold build
@@ -454,13 +429,59 @@ func NewSharded(points []Point, workload []Rect, opts ...ShardedOption) (*Sharde
 	return s, nil
 }
 
-// buildShardIndex builds one shard's index, workload-aware when the shard
-// has an anticipated workload.
-func buildShardIndex(pts []Point, queries []Rect, opts []Option) (*Index, error) {
-	if len(queries) > 0 {
-		return NewWorkloadAware(pts, queries, opts...)
+// buildShards builds one shard per group of plan under page-file epoch
+// epoch, each index learning from the slice of window its group's bounds
+// meet; when seed is set, that slice also seeds the shard's recent-query
+// ring, so the next drift decision and the next migration have context. A
+// failed build releases the indexes built so far, page files included.
+func (s *Sharded) buildShards(plan *shard.Plan, window []Rect, epoch int, seed bool) (*shardedSnapshot, error) {
+	n := plan.NumShards()
+	snap := &shardedSnapshot{plan: plan, shards: make([]*shardSnap, n), ctls: make([]*shardCtl, n), epoch: epoch}
+	for i, group := range plan.Groups {
+		ctl := &shardCtl{recent: newQueryRing(s.opts.windowSize)}
+		snap.ctls[i], snap.shards[i] = ctl, &shardSnap{empty: true}
+		if len(group) == 0 {
+			continue
+		}
+		shardQs := intersectingQueries(window, geom.RectFromPoints(group))
+		idx, err := s.buildShardIndex(group, shardQs, epoch, i, 0)
+		if err != nil {
+			discardShards(snap.shards)
+			return nil, fmt.Errorf("wazi: building shard %d: %w", i, err)
+		}
+		snap.shards[i] = &shardSnap{idx: idx, bounds: idx.Bounds(), occ: buildOccupancy(group, idx.Bounds())}
+		ctl.advisor.Store(NewRebuildAdvisor(idx.Bounds(), shardQs, s.opts.windowSize, s.opts.driftThreshold))
+		if seed {
+			ctl.recent.preload(shardQs)
+		}
 	}
-	return New(pts, opts...)
+	return snap, nil
+}
+
+// buildShardIndex builds shard i's generation-gen index under plan epoch
+// epoch, workload-aware when the shard has an anticipated workload. Under
+// disk storage its pages go to the shard's page file, which a failed build
+// (a failed page-file creation) does not leave behind.
+func (s *Sharded) buildShardIndex(pts []Point, queries []Rect, epoch, i, gen int) (*Index, error) {
+	opts, path := s.opts.indexOpts, filepath.Join(s.opts.storageDir, shardPageFile(epoch, i, gen))
+	if s.opts.storageDir != "" {
+		opts = append(slices.Clone(opts), WithStorage(Storage{Path: path, CachePages: s.opts.cachePages}))
+	}
+	var idx *Index
+	var err error
+	if len(queries) > 0 {
+		idx, err = NewWorkloadAware(pts, queries, opts...)
+	} else {
+		idx, err = New(pts, opts...)
+	}
+	if err != nil {
+		if s.opts.storageDir != "" {
+			os.Remove(path)
+		}
+		return nil, err
+	}
+	s.attachStoreObs(idx)
+	return idx, nil
 }
 
 // shardPageFile names shard i's generation-gen page file under plan epoch
@@ -468,19 +489,6 @@ func buildShardIndex(pts []Point, queries []Rect, opts []Option) (*Index, error)
 // never collide with the retiring plan's, whatever the shard counts.
 func shardPageFile(epoch, i, gen int) string {
 	return fmt.Sprintf("shard-e%03d-%04d-g%06d.pages", epoch, i, gen)
-}
-
-// shardIndexOptions returns the per-shard build options: the configured
-// index options plus, under disk storage, the shard's page-file placement.
-func (s *Sharded) shardIndexOptions(epoch, i, gen int) []Option {
-	if s.opts.storageDir == "" {
-		return s.opts.indexOpts
-	}
-	opts := append([]Option(nil), s.opts.indexOpts...)
-	return append(opts, WithStorage(Storage{
-		Path:       filepath.Join(s.opts.storageDir, shardPageFile(epoch, i, gen)),
-		CachePages: s.opts.cachePages,
-	}))
 }
 
 // sweepStalePageFiles removes the page files in dir whose base name is not
@@ -521,13 +529,17 @@ func (s *Sharded) retireIndexStore(idx *Index) {
 	}
 }
 
-// discardIndexStorage releases a freshly built index that lost its reason
-// to exist (the shard emptied during the rebuild), removing its page file.
-func discardIndexStorage(idx *Index) {
-	if ds, ok := idx.z.Store().(*storage.DiskStore); ok {
-		path := ds.Path()
-		ds.Close()
-		os.Remove(path)
+// discardShards releases the indexes of shards no reader has seen, page
+// files included.
+func discardShards(shards []*shardSnap) {
+	for _, ss := range shards {
+		if ss == nil || ss.idx == nil {
+			continue
+		}
+		if ds, ok := ss.idx.z.Store().(*storage.DiskStore); ok {
+			ds.Close()
+			os.Remove(ds.Path())
+		}
 	}
 }
 
@@ -799,16 +811,13 @@ func (snap *shardedSnapshot) knnHalfWidth(q Point, k int) float64 {
 
 // Insert adds p. The write lands in the owning shard's insert run; readers
 // observe it on their next snapshot load, without blocking.
-// During a live repartition the write additionally joins the migration log,
-// which the migration replays — routed by the new plan — before its swap.
 func (s *Sharded) Insert(p Point) {
 	s.mu.Lock()
 	snap := s.snap.Load()
 	i := snap.plan.Locate(p)
-	ss := snap.shards[i]
-	s.commitWrite(snap, i, &shardSnap{idx: ss.idx, extra: ss.extra.add(p), dead: ss.dead,
-		bounds: extendBounds(ss.bounds, ss.empty, p), occ: ss.occ,
-		extraBounds: extendBounds(ss.extraBounds, ss.extra.size() == 0, p)}, shardOp{p: p})
+	ns := *snap.shards[i]
+	ns.buffer(p)
+	s.commitWrite(snap, i, &ns, p, false)
 }
 
 // Delete removes one point equal to p, reporting whether one was found.
@@ -819,8 +828,7 @@ func (s *Sharded) Delete(p Point) bool {
 	snap := s.snap.Load()
 	i := snap.plan.Locate(p)
 	ss := snap.shards[i]
-	ns := &shardSnap{idx: ss.idx, extra: ss.extra, dead: ss.dead, bounds: ss.bounds,
-		occ: ss.occ, extraBounds: ss.extraBounds}
+	ns := *ss
 	if extra, ok := ss.extra.without(p); ok {
 		// A buffered insert is the cheapest thing to undo: it cancels
 		// outright, leaving no tombstone behind.
@@ -832,31 +840,25 @@ func (s *Sharded) Delete(p Point) bool {
 		s.mu.Unlock()
 		return false
 	}
-	s.commitWrite(snap, i, ns, shardOp{p: p, del: true})
+	s.commitWrite(snap, i, &ns, p, true)
 	return true
 }
 
-// commitWrite publishes ns as shard i's state after op and records op: in
-// the rebuild and migration logs while they are open, then in the WAL. It
-// releases s.mu, which the caller holds, waits until op is durable, and
-// compacts the shard if its backlog overflowed.
-func (s *Sharded) commitWrite(snap *shardedSnapshot, i int, ns *shardSnap, op shardOp) {
+// commitWrite publishes ns as shard i's state after the write of p and
+// records the write in the WAL. It releases s.mu, which the caller holds,
+// waits until the write is durable, and compacts the shard if its backlog
+// overflowed.
+func (s *Sharded) commitWrite(snap *shardedSnapshot, i int, ns *shardSnap, p Point, del bool) {
 	s.swapShard(snap, i, ns)
-	if op.del {
+	if del {
 		s.deletes.Add(1)
 	} else {
 		s.inserts.Add(1)
 	}
-	ctl := snap.ctls[i]
-	if ctl.rebuilding {
-		ctl.log = append(ctl.log, op)
-	}
-	if s.repartInFlight {
-		s.repartLog = append(s.repartLog, op)
-	}
 	// Log under mu, right after the apply: sequence order then equals
 	// apply order, so replay reproduces exactly this history.
-	walSeq := s.walAppendLocked(op.p, op.del)
+	walSeq := s.walAppendLocked(p, del)
+	ctl := snap.ctls[i]
 	overflow := !ctl.rebuilding && !s.repartInFlight && ns.backlog() >= s.opts.compactThreshold
 	background := s.loop != nil && !s.closed
 	s.mu.Unlock()
@@ -934,143 +936,92 @@ func (s *Sharded) CheckRebuilds() int {
 
 // rebuildShard rebuilds shard i from its current live points with the
 // recently observed queries as the anticipated workload, then swaps the
-// result in. Readers are never blocked: the build runs without locks, and
-// writes that arrive meanwhile are logged and replayed onto the new index
-// before the swap. Reports whether a swap happened.
+// result in. Reports whether a swap happened.
 //
 // Rebuilds and repartitions exclude each other: a rebuild never starts
-// while a migration is in flight (checked here), and a migration never
-// starts while any shard is rebuilding (checked in repartition). Both flags
-// are guarded by s.mu, so the snapshot's plan/ctls pairing cannot change
-// between this capture and the final swap.
+// while a migration is in flight (checked in captureShard), and a migration
+// never starts while any shard is rebuilding (checked in beginMigration).
+// Both flags are guarded by s.mu, so the snapshot's plan/ctls pairing
+// cannot change between the capture and the swap.
 func (s *Sharded) rebuildShard(i int) bool {
+	snap, ok := s.captureShard(i)
+	return ok && s.rebuildFrom(snap, i)
+}
+
+// captureShard marks shard i rebuilding and returns the snapshot the
+// rebuild starts from, or false when a migration or a rebuild of the shard
+// is in flight or the index is closed. i can exceed the shard count when a
+// migration completed between the caller observing a backlog and this
+// call; the new plan's control loop pass will pick up whatever pressure
+// remains.
+func (s *Sharded) captureShard(i int) (*shardedSnapshot, bool) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	snap := s.snap.Load()
-	if s.repartInFlight || s.closed || i >= len(snap.shards) {
-		// i can exceed the shard count when a migration completed between
-		// the caller observing a backlog and this call; the new plan's
-		// control loop pass will pick up whatever pressure remains.
-		s.mu.Unlock()
-		return false
+	if s.repartInFlight || s.closed || i >= len(snap.shards) || snap.ctls[i].rebuilding {
+		return nil, false
 	}
-	ctl := snap.ctls[i]
-	if ctl.rebuilding {
-		s.mu.Unlock()
-		return false
-	}
-	ss := snap.shards[i]
+	snap.ctls[i].rebuilding = true
+	return snap, true
+}
+
+// rebuildFrom builds shard i's next index from the shard's state in snap,
+// the capture, and swaps it in. Readers are never blocked: the build runs
+// without locks, and at the swap the writes that landed meanwhile become
+// the new index's delta (rebase), which needs no page I/O.
+func (s *Sharded) rebuildFrom(snap *shardedSnapshot, i int) bool {
+	rebuildStart := time.Now()
+	ctl, ss := snap.ctls[i], snap.shards[i]
 	recent := ctl.recent.snapshot()
 	gen := ctl.gen
-	epoch := snap.epoch
-	ctl.rebuilding = true
-	ctl.log = nil
-	s.mu.Unlock()
-
-	rebuildStart := time.Now()
 
 	// Materialize outside the mutex: every captured structure is immutable
 	// copy-on-write, and for a disk-backed shard this reads all of its
 	// pages — holding s.mu across that scan would stall every writer for
-	// the duration. Writes landing from here on are logged (rebuilding is
-	// set) and replayed onto the new index before the swap.
-	pts := materialize(ss)
+	// the duration.
+	pts, _ := foldable(materialize(ss))
 
 	// The shard's next state, private until the swap: a shard emptied before
-	// the rebuild gets no index, and its logged writes replay into extra.
+	// the rebuild gets no index.
 	ns := &shardSnap{empty: true}
 	if len(pts) > 0 {
-		idx, err := buildShardIndex(pts, recent, s.shardIndexOptions(epoch, i, gen+1))
+		idx, err := s.buildShardIndex(pts, recent, snap.epoch, i, gen+1)
 		if err != nil {
 			// Unreachable for non-empty pts on the RAM backend; under disk
 			// storage a failed page-file creation lands here. Fail safe by
-			// aborting the swap (and dropping any partial file).
-			if s.opts.storageDir != "" {
-				os.Remove(filepath.Join(s.opts.storageDir, shardPageFile(epoch, i, gen+1)))
-			}
+			// aborting the swap.
 			s.mu.Lock()
 			ctl.rebuilding = false
-			ctl.log = nil
 			s.mu.Unlock()
 			return false
 		}
-		s.attachStoreObs(idx)
 		ns = &shardSnap{idx: idx, bounds: idx.Bounds(), occ: buildOccupancy(pts, idx.Bounds())}
 	}
 	s.mu.Lock()
-	// Drain the logged write backlog in batches OUTSIDE the mutex: on a
-	// disk-backed shard every replayed op faults and rewrites a page, and
-	// holding s.mu across that I/O would stall all writers — the same
-	// reasoning as materialize above. Bounded rounds so a sustained write
-	// stream cannot livelock the swap; the (small) remainder is applied under
-	// the lock below.
-	for round := 0; len(ctl.log) > 0 && round < 4; round++ {
-		batch := ctl.log
-		ctl.log = nil
-		s.mu.Unlock()
-		for _, op := range batch {
-			ns.apply(op)
-		}
-		s.mu.Lock()
-	}
 	defer s.mu.Unlock()
 	ctl.rebuilding = false
+	cur := s.snap.Load()
+	ns.withDelta(rebase(ss, cur.shards[i]))
 	if ss.idx != nil {
 		// Bank the retiring index's counters; readers still in flight on it
 		// may flush a few more, which is an acceptable monitoring blur.
 		s.retired = s.retired.Add(ss.idx.Stats().AtomicSnapshot())
-	}
-	for _, op := range ctl.log {
-		ns.apply(op)
-	}
-	ctl.log = nil
-	switch {
-	case ns.idx == nil:
-		ns.empty = ns.extra.size() == 0
-	case ns.idx.Len() == 0:
-		discardIndexStorage(ns.idx)
-		ns = &shardSnap{empty: true}
-	default:
-		ctl.gen = gen + 1
+		s.retireIndexStore(ss.idx)
 	}
 	if ns.idx != nil {
+		ctl.gen = gen + 1
 		// The recent window becomes the new drift baseline.
 		ctl.advisor.Store(NewRebuildAdvisor(ns.idx.Bounds(), recent, s.opts.windowSize, s.opts.driftThreshold))
 	} else {
 		ctl.advisor.Store(nil)
 	}
-	if ss.idx != nil {
-		s.retireIndexStore(ss.idx)
-	}
-	s.swapShard(s.snap.Load(), i, ns)
+	s.swapShard(cur, i, ns)
 	ctl.rebuilds++
 	s.rebuilds.Add(1)
 	if s.obs != nil {
 		s.obs.Rebuild.ObserveSince(rebuildStart)
 	}
 	return true
-}
-
-// apply replays a logged write onto a shard state no reader sees yet — a
-// rebuild's or a migration's — keeping its occupancy bitmap and MBRs
-// supersets of its contents. The write succeeded on the serving side, so a
-// deleted point is here too: in the index, or in the insert run when there
-// is no index or an earlier logged insert put it there.
-func (ss *shardSnap) apply(op shardOp) {
-	if op.del {
-		if ss.idx == nil || !ss.idx.Delete(op.p) {
-			ss.extra, _ = ss.extra.without(op.p)
-		}
-		return
-	}
-	ss.bounds = extendBounds(ss.bounds, ss.empty, op.p)
-	ss.empty = false
-	if ss.idx != nil {
-		ss.idx.Insert(op.p)
-		ss.occ.add(op.p)
-		return
-	}
-	ss.extraBounds = extendBounds(ss.extraBounds, ss.extra.size() == 0, op.p)
-	ss.extra = ss.extra.add(op.p)
 }
 
 // materialize flattens a shard snapshot into its live point set.

@@ -13,6 +13,10 @@ import (
 // one entry per tombstoned copy of an indexed point — until compaction
 // folds them into the next index. Following HIRE, a run is a plain sorted
 // run, not another model. ARCHITECTURE.md ("Data flow: serve") has the design.
+//
+// The delta is also a rebuild's and a migration's catch-up log: the writes
+// that landed while one ran are the difference between the shard's delta
+// at its capture and at its swap (rebase).
 
 // deltaTail bounds a run's unsorted tail: it holds fewer than deltaTail
 // points, so a lookup scans at most deltaTail−1 after its binary search.
@@ -132,6 +136,94 @@ func (d deltaRun) dropDead(dst []Point, from int, r Rect) []Point {
 		out++
 	}
 	return dst[:out]
+}
+
+// rebase returns the writes that turned captured into serving, one shard's
+// states at a rebuild's or a migration's capture and at its swap, as the
+// delta of an index built from foldable(materialize(captured)): ins to
+// buffer and outs to tombstone. Writes never replace a shard's idx, so the
+// two states differ in their runs alone. rebase counts each value by its
+// exact bits as serving's extra − captured's extra − serving's dead +
+// captured's dead; positive counts are inserts and negative ones deletes.
+// A negative count is a copy live at the capture, so the new index holds
+// it, as a tombstone requires. The captured inserts the index cannot hold
+// are carried over as inserts.
+func rebase(captured, serving *shardSnap) (ins, outs []Point) {
+	type signed struct {
+		p Point
+		n int
+	}
+	var es []signed
+	add := func(pts []Point, n int) {
+		for _, p := range pts {
+			es = append(es, signed{p, n})
+		}
+	}
+	_, rest := foldable(captured.extra.pts)
+	add(rest, 1)
+	if captured != serving {
+		add(serving.extra.pts, 1)
+		add(captured.extra.pts, -1)
+		add(serving.dead.pts, -1)
+		add(captured.dead.pts, 1)
+	}
+	slices.SortFunc(es, func(a, b signed) int { return cmpBits(a.p, b.p) })
+	for i := 0; i < len(es); {
+		n, p := 0, es[i].p
+		for ; i < len(es) && cmpBits(es[i].p, p) == 0; i++ {
+			n += es[i].n
+		}
+		for ; n > 0; n-- {
+			ins = append(ins, p)
+		}
+		for ; n < 0; n++ {
+			outs = append(outs, p)
+		}
+	}
+	return ins, outs
+}
+
+// buffer adds p to the insert run of ss, a state no reader sees yet, and
+// grows its MBRs over p.
+func (ss *shardSnap) buffer(p Point) {
+	ss.bounds = extendBounds(ss.bounds, ss.empty, p)
+	ss.extraBounds = extendBounds(ss.extraBounds, ss.extra.size() == 0, p)
+	ss.extra = ss.extra.add(p)
+	ss.empty = false
+}
+
+// withDelta gives ss, a state no reader sees yet, ins as its insert run
+// and outs as its tombstone run, and grows its MBRs over ins.
+func (ss *shardSnap) withDelta(ins, outs []Point) {
+	slices.SortFunc(ins, cmpXY)
+	slices.SortFunc(outs, cmpXY)
+	ss.extra = deltaRun{pts: ins, sorted: len(ins)}
+	ss.dead = deltaRun{pts: outs, sorted: len(outs)}
+	for k, p := range ins {
+		ss.bounds = extendBounds(ss.bounds, ss.empty, p)
+		ss.empty = false
+		ss.extraBounds = extendBounds(ss.extraBounds, k == 0, p)
+	}
+}
+
+// foldable splits pts into the points a learned shard index can hold, the
+// finite ones, and the rest, which their shard serves from its insert run.
+func foldable(pts []Point) (fold, rest []Point) {
+	for _, p := range pts {
+		if p.Finite() {
+			fold = append(fold, p)
+		} else {
+			rest = append(rest, p)
+		}
+	}
+	return fold, rest
+}
+
+// cmpBits refines cmpXY into a total order on exact bits, which tells −0
+// from +0 and one NaN from another.
+func cmpBits(a, b Point) int {
+	return cmp.Or(cmpXY(a, b), cmp.Compare(math.Float64bits(a.X), math.Float64bits(b.X)),
+		cmp.Compare(math.Float64bits(a.Y), math.Float64bits(b.Y)))
 }
 
 // pointBit hashes p's value to one of 64 bits; points equal under ==, −0

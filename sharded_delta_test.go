@@ -41,8 +41,9 @@ func deltaBase(n int, seed int64) []Point {
 }
 
 // deltaPool is what the writes draw from: coincident points, points that
-// share an X, both zeros, both infinities and NaN, plus indexed points, so
-// that deletes tombstone some copies and cancel buffered inserts of others.
+// share an X, both zeros, both infinities and NaN, points outside the base's
+// bounds, plus indexed points, so that deletes tombstone some copies and
+// cancel buffered inserts of others.
 // (0.1, +0) deletes deltaBase's (0.1, −0): a tombstone whose bits differ
 // from the copy it removes.
 func deltaPool(base []Point) []Point {
@@ -53,13 +54,14 @@ func deltaPool(base []Point) []Point {
 		{X: 0.1, Y: 0}, {X: negZero, Y: 0.1},
 		{X: inf, Y: 0.3}, {X: -inf, Y: 0.7}, {X: 0.2, Y: inf}, {X: 0.6, Y: -inf},
 		{X: nan, Y: 0.4}, {X: 0.6, Y: nan}, {X: nan, Y: nan},
+		{X: 1.5, Y: 0.5}, {X: -0.25, Y: 1.25},
 	}
 	return append(pool, base[:48]...)
 }
 
 // deltaRects are the rectangles every check reads: the whole plane, ones
 // whose edges sit on the zeros, the coincident point and the infinities,
-// and a few ordinary ones.
+// ones outside the base's bounds, and a few ordinary ones.
 func deltaRects(rng *rand.Rand, n int) []Rect {
 	inf := math.Inf(1)
 	rs := []Rect{
@@ -69,6 +71,7 @@ func deltaRects(rng *rand.Rand, n int) []Rect {
 		{MinX: 0.5, MinY: 0.25, MaxX: 0.5, MaxY: 0.5},
 		{MinX: 0.1, MinY: 0.2, MaxX: inf, MaxY: 0.4},
 		{MinX: -inf, MinY: 0.6, MaxX: 0.9, MaxY: inf},
+		{MinX: 1.2, MinY: 0, MaxX: 2, MaxY: 1}, {MinX: -1, MinY: 1.1, MaxX: 0, MaxY: 2},
 	}
 	for range n {
 		x, y, w, h := rng.Float64(), rng.Float64(), rng.Float64()*0.4, rng.Float64()*0.4
@@ -103,6 +106,21 @@ func bruteKNN(ref *index.Brute, q Point, k int) []Point {
 	}
 	geom.NearestK(pts, k, q)
 	return pts[:min(k, len(pts))]
+}
+
+// deltaWrite applies n writes drawn from pool to s and ref alike, three in
+// five inserts and the rest deletes.
+func deltaWrite(t testing.TB, s *Sharded, ref *index.Brute, pool []Point, rng *rand.Rand, n int) {
+	t.Helper()
+	for range n {
+		p := pool[rng.Intn(len(pool))]
+		if rng.Intn(5) < 3 {
+			s.Insert(p)
+			ref.Insert(p)
+		} else if got, want := s.Delete(p), ref.Delete(p); got != want {
+			t.Fatalf("Delete(%v) = %v, brute force %v", p, got, want)
+		}
+	}
 }
 
 // checkDelta holds s to ref over rects, the point queries of probes, Len,
@@ -173,44 +191,182 @@ func TestShardDeltaMatchesBrute(t *testing.T) {
 }
 
 // FuzzShardDelta is an op-byte state machine over one Sharded and a brute
-// force copy: each byte inserts or deletes a pool point, or rebuilds the
-// point's shard, which folds its delta into a fresh index, and every read is
-// checked after every op.
+// force copy: each byte inserts or deletes a pool point, captures the
+// point's shard for a rebuild, or rebuilds, which folds a delta into a fresh
+// index. A rebuild runs from the held capture if there is one, rebasing the
+// writes since it, and otherwise from the shard's current state. Every read
+// is checked after every op.
 func FuzzShardDelta(f *testing.F) {
 	f.Add([]byte{0, 8, 16, 24, 1, 9, 4, 12, 20, 28, 7, 0, 8, 5, 13})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 4, 4, 4, 4, 4, 4, 4, 4})
 	f.Add([]byte{5, 13, 21, 29, 37, 45, 53, 61, 69, 77, 85, 93, 101, 109, 117, 125, 133, 141, 7})
+	f.Add([]byte{0, 8, 104, 72, 4, 31, 0, 16, 104, 80, 4, 12, 60, 28, 7, 0, 4, 60})
 	base := deltaBase(300, 21)
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		s := deltaSharded(t, base, 2)
 		ref := index.NewBrute(base)
 		pool := deltaPool(base)
 		rects := deltaRects(rand.New(rand.NewSource(22)), 2)
+		var held *shardedSnapshot
+		heldShard := 0
 		for i, op := range ops[:min(len(ops), 128)] {
 			p := pool[int(op>>3)%len(pool)]
-			switch op % 8 {
-			case 0, 1, 2, 3:
+			switch {
+			case op%8 < 4:
 				s.Insert(p)
 				ref.Insert(p)
-			case 4, 5, 6:
+			case op%8 < 7:
 				if got, want := s.Delete(p), ref.Delete(p); got != want {
 					t.Fatalf("op %d: Delete(%v) = %v, brute force %v", i, p, got, want)
 				}
-			case 7:
-				// Only finite points can be compacted: the learned index
-				// itself does not serve the others.
-				if finite(ref) {
-					s.rebuildShard(s.ShardOf(p))
+			case op>>3%4 == 3:
+				if held == nil {
+					heldShard = s.ShardOf(p)
+					held, _ = s.captureShard(heldShard)
 				}
+			case held != nil:
+				if !s.rebuildFrom(held, heldShard) {
+					t.Fatalf("op %d: the rebuild from the held capture did not swap", i)
+				}
+				held = nil
+				checkRebased(t, s, "op "+strconv.Itoa(i))
+			default:
+				s.rebuildShard(s.ShardOf(p))
+				checkRebased(t, s, "op "+strconv.Itoa(i))
 			}
 			checkDelta(t, s, ref, rects, []Point{p}, "op "+strconv.Itoa(i))
 		}
 	})
 }
 
-func finite(ref *index.Brute) bool {
-	return ref.Len() == len(ref.RangeQuery(Rect{MinX: -math.MaxFloat64, MinY: -math.MaxFloat64,
-		MaxX: math.MaxFloat64, MaxY: math.MaxFloat64}))
+// checkRebased holds every shard of s to the delta's invariants: each
+// tombstoned value has at least as many copies in the shard's index, and
+// live counts exactly the points the shard serves.
+func checkRebased(t testing.TB, s *Sharded, ctx string) {
+	t.Helper()
+	for i, ss := range s.snap.Load().shards {
+		for _, p := range ss.dead.pts {
+			if c, _ := ss.dead.count(p); ss.idx == nil || c > ss.idx.RangeCount(pointRect(p)) {
+				t.Fatalf("%s: shard %d tombstones %d copies of %v, more than its index holds", ctx, i, c, p)
+			}
+		}
+		if live, n := ss.live(), len(materialize(ss)); live != n {
+			t.Fatalf("%s: shard %d counts %d live points and serves %d", ctx, i, live, n)
+		}
+	}
+}
+
+// TestShardRebase captures each shard in turn, writes from the pool while
+// the capture is held, rebuilds the shard from the capture, and checks
+// reads against brute force and the rebased delta's invariants. The writes
+// cover coincident copies, both zeros, the infinities and NaN, buffered
+// inserts of the capture cancelled after it, and tombstones of indexed
+// copies, so every rebuild has a delta to rebase.
+func TestShardRebase(t *testing.T) {
+	base := deltaBase(1200, 71)
+	s := deltaSharded(t, base, 4)
+	ref := index.NewBrute(base)
+	pool := deltaPool(base)
+	rng := rand.New(rand.NewSource(72))
+	rects := deltaRects(rng, 3)
+	for i := range 4 {
+		deltaWrite(t, s, ref, pool, rng, 150)
+		snap, ok := s.captureShard(i)
+		if !ok {
+			t.Fatalf("shard %d: capture refused", i)
+		}
+		deltaWrite(t, s, ref, pool, rng, 300)
+		if ss := s.snap.Load().shards[i]; ss == snap.shards[i] {
+			t.Fatalf("shard %d: no write landed while the capture was held", i)
+		}
+		if !s.rebuildFrom(snap, i) {
+			t.Fatalf("shard %d: the rebuild did not swap", i)
+		}
+		ctx := "shard " + strconv.Itoa(i)
+		if s.snap.Load().shards[i].backlog() == 0 {
+			t.Fatalf("%s: the rebuild rebased nothing", ctx)
+		}
+		checkRebased(t, s, ctx)
+		checkDelta(t, s, ref, rects, pool, ctx)
+	}
+}
+
+// TestShardedNonFiniteNeverIndexed: a point with an infinite or NaN
+// coordinate stays in its shard's insert run through a workload-aware
+// rebuild and a cold build, so the learned index over the finite points
+// keeps answering all of them.
+func TestShardedNonFiniteNeverIndexed(t *testing.T) {
+	pts := fuzzPoints(600, 3)
+	for _, p := range []Point{{X: 0.5, Y: math.Inf(-1)}, {X: math.Inf(-1), Y: 0.5}, {X: math.NaN(), Y: 0.5}} {
+		s := deltaSharded(t, pts, 2)
+		s.Insert(p)
+		for _, r := range deltaRects(rand.New(rand.NewSource(3)), 40) {
+			s.RangeQuery(r) // the rebuild learns from these
+		}
+		if !s.rebuildShard(s.ShardOf(p)) {
+			t.Fatalf("%v: the rebuild did not swap", p)
+		}
+		want := len(pts) + b2i(p.X == p.X)
+		if n, l := s.RangeCount(everywhere), s.Len(); n != want || l != len(pts)+1 {
+			t.Fatalf("%v: after a rebuild, RangeCount(everywhere) = %d and Len %d; want %d and %d", p, n, l, want, len(pts)+1)
+		}
+		checkRebased(t, s, p.String())
+	}
+	s := deltaSharded(t, append(slices.Clone(pts), Point{X: math.NaN(), Y: 0.5}), 2)
+	if n, l := s.RangeCount(everywhere), s.Len(); n != len(pts) || l != len(pts)+1 {
+		t.Fatalf("cold build with a NaN: RangeCount(everywhere) = %d and Len %d; want %d and %d", n, l, len(pts), len(pts)+1)
+	}
+}
+
+// TestShardRebaseKeepsBits: a rebase counts values by their exact bits, so
+// a buffered (0.3, +0) cancelled and inserted again as (0.3, −0) while a
+// rebuild runs comes out of it as −0, as the serving state held it.
+func TestShardRebaseKeepsBits(t *testing.T) {
+	s := deltaSharded(t, fuzzPoints(300, 91), 1)
+	pos, neg := Point{X: 0.3, Y: 0}, Point{X: 0.3, Y: math.Copysign(0, -1)}
+	s.Insert(pos)
+	snap, _ := s.captureShard(0)
+	if !s.Delete(neg) {
+		t.Fatal("the delete of (0.3, −0) did not cancel the buffered (0.3, +0)")
+	}
+	s.Insert(neg)
+	if !s.rebuildFrom(snap, 0) {
+		t.Fatal("the rebuild did not swap")
+	}
+	if got := s.RangeQuery(pointRect(pos)); len(got) != 1 || !math.Signbit(got[0].Y) {
+		t.Fatalf("after the rebuild the shard serves %v, want only (0.3, −0)", got)
+	}
+	checkRebased(t, s, "rebuilt")
+}
+
+// TestShardMigrationRebase migrates to a plan learned from a shifted
+// hotspot while writes land between the capture and the swap: the new
+// shards must serve exactly the brute-force contents, the writes since the
+// capture included, with their tombstones against their own indexes.
+func TestShardMigrationRebase(t *testing.T) {
+	base := deltaBase(1200, 81)
+	s := deltaSharded(t, base, 4)
+	ref := index.NewBrute(base)
+	pool := deltaPool(base)
+	rng := rand.New(rand.NewSource(82))
+	for range 2000 {
+		x, y := 0.8+rng.Float64()*0.15, 0.8+rng.Float64()*0.15
+		s.RangeQuery(Rect{MinX: x - 0.03, MinY: y - 0.03, MaxX: x + 0.03, MaxY: y + 0.03})
+	}
+	deltaWrite(t, s, ref, pool, rng, 300)
+	snap, window, ok := s.beginMigration(nil)
+	if !ok {
+		t.Fatal("migration refused to start")
+	}
+	deltaWrite(t, s, ref, pool, rng, 300)
+	if !s.migrate(snap, window) {
+		t.Fatal("the migration did not swap")
+	}
+	if s.PlanEpoch() != 1 || s.Migrating() {
+		t.Fatalf("after the migration: epoch %d, migrating %v", s.PlanEpoch(), s.Migrating())
+	}
+	checkRebased(t, s, "migrated")
+	checkDelta(t, s, ref, deltaRects(rng, 3), pool, "migrated")
 }
 
 // TestShardDeltaViewIsolation pins Views over a shard's insert run while it

@@ -7,10 +7,9 @@ package wazi
 // therefore carries a small occupancy bitmap: a 64×64 grid over the index's
 // bounds marking the cells that hold at least one point. A query targets
 // the shard only if it overlaps an occupied cell, which prunes the
-// descents the MBR test cannot. The bitmap is built with the shard, grows
-// monotonically under replayed inserts (deletes never clear bits — stale
-// occupancy is conservative, never wrong), and saturates when a point
-// lands outside its frame. The uncompacted insert buffer is covered
+// descents the MBR test cannot. The bitmap is built with the shard index
+// and never changes (deletes never clear bits — stale occupancy is
+// conservative, never wrong). The uncompacted insert buffer is covered
 // separately by the shard snapshot's extraBounds MBR.
 
 // occGridSide is the bitmap resolution; 64×64 = 4096 bits (64 words, 512
@@ -18,9 +17,8 @@ package wazi
 // shard's sparse territory blurs into full cells and barely prunes.
 const occGridSide = 64
 
-// occupancy is the per-built-index cell bitmap. It is mutated only before
-// its shard snapshot is published (build and log replay); afterwards it is
-// read-only, like the index it describes.
+// occupancy is the per-built-index cell bitmap. It is mutated only while
+// it is built; afterwards it is read-only, like the index it describes.
 type occupancy struct {
 	frame Rect
 	sat   bool // a point fell outside frame: every query may match
@@ -37,8 +35,7 @@ func buildOccupancy(pts []Point, frame Rect) *occupancy {
 	return o
 }
 
-// add marks p's cell, saturating if p lies outside the frame (a replayed
-// insert can land anywhere).
+// add marks p's cell, saturating if p lies outside the frame.
 func (o *occupancy) add(p Point) {
 	if o.sat {
 		return

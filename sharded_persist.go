@@ -28,12 +28,12 @@ const (
 	shardedMagic = "wazi-sharded"
 	// shardedSnapshotVersion is the on-disk format version; Load refuses
 	// any other value so a format change can never be half-read. Version 2
-	// added the plan epoch and the migration record (online repartitioning).
-	shardedSnapshotVersion = 2
+	// added the plan epoch and a migration record, which version 3 dropped.
+	shardedSnapshotVersion = 3
 )
 
 // shardedHeader is the versioned partition-plan header that precedes the
-// migration record and the per-shard records.
+// per-shard records.
 type shardedHeader struct {
 	Magic   string
 	Version int
@@ -54,20 +54,6 @@ type shardedHeader struct {
 	// also yields zero reading pre-WAL snapshots, which replays the whole
 	// log — correct, since such a snapshot predates every record).
 	WALSeq uint64
-}
-
-// migrationRecord describes a plan migration that was in flight when the
-// snapshot was written. The snapshot body always holds the SERVING plan's
-// complete, consistent state — mid-migration writes apply to the serving
-// shards as well as to the migration log — so a warm start simply resumes
-// serving the old plan and lets its control loop re-learn; the record
-// preserves what the interrupted migration was aiming at for observability
-// and for the decoder's validation surface.
-type migrationRecord struct {
-	InFlight     bool
-	TargetBounds Rect
-	TargetCuts   []uint64
-	TargetShards int
 }
 
 // shardedShardRecord serializes one shard's complete state. The built index
@@ -159,16 +145,6 @@ func (s *Sharded) Save(w io.Writer) error {
 		recents[i] = ctl.recent.snapshot()
 		gens[i] = ctl.gen
 	}
-	mig := migrationRecord{InFlight: s.repartInFlight}
-	if s.repartInFlight && s.repartTarget != nil {
-		tc := s.repartTarget.Cuts()
-		mig.TargetBounds = s.repartTarget.Bounds()
-		mig.TargetCuts = make([]uint64, len(tc))
-		for i, c := range tc {
-			mig.TargetCuts[i] = uint64(c)
-		}
-		mig.TargetShards = s.repartTarget.NumShards()
-	}
 	repartitions := s.repartitions.Load()
 	var walSeq uint64
 	if s.wal != nil {
@@ -199,9 +175,6 @@ func (s *Sharded) Save(w io.Writer) error {
 	enc := gob.NewEncoder(w)
 	if err := enc.Encode(&h); err != nil {
 		return fmt.Errorf("wazi: encoding sharded header: %w", err)
-	}
-	if err := enc.Encode(&mig); err != nil {
-		return fmt.Errorf("wazi: encoding migration record: %w", err)
 	}
 	for i, ss := range snap.shards {
 		rec := shardedShardRecord{
@@ -276,13 +249,6 @@ func LoadSharded(r io.Reader, opts ...ShardedOption) (*Sharded, error) {
 	if h.Epoch < 0 || h.Repartitions < 0 {
 		return nil, fmt.Errorf("wazi: corrupt sharded snapshot: negative epoch %d / repartitions %d", h.Epoch, h.Repartitions)
 	}
-	var mig migrationRecord
-	if err := dec.Decode(&mig); err != nil {
-		return nil, fmt.Errorf("wazi: decoding migration record: %w", err)
-	}
-	if err := validateMigrationRecord(mig); err != nil {
-		return nil, fmt.Errorf("wazi: corrupt sharded snapshot: %w", err)
-	}
 
 	cfg := shardedConfig{autoRebuild: true, autoRepartition: true}
 	for _, o := range opts {
@@ -332,11 +298,7 @@ func LoadSharded(r io.Reader, opts ...ShardedOption) (*Sharded, error) {
 		totalRebuilds += rec.Rebuilds
 		ss := &shardSnap{empty: rec.Empty, bounds: rec.Bounds}
 		snap.shards[i] = ss
-		slices.SortFunc(rec.Extra, cmpXY)
-		ss.extra = deltaRun{pts: rec.Extra, sorted: len(rec.Extra)}
-		for k, p := range rec.Extra {
-			ss.extraBounds = extendBounds(ss.extraBounds, k == 0, p)
-		}
+		ss.withDelta(rec.Extra, nil)
 		if rec.HasIdx && rec.HasOcc && plausibleOccupancy(rec) {
 			ss.occ = &occupancy{frame: rec.OccFrame, sat: rec.OccSat, bits: rec.OccBits}
 		}
@@ -496,32 +458,6 @@ func validateCuts(cuts []uint64) error {
 		if cuts[i] <= cuts[i-1] {
 			return fmt.Errorf("cut keys not strictly increasing at %d (%d then %d)", i, cuts[i-1], cuts[i])
 		}
-	}
-	return nil
-}
-
-// validateMigrationRecord rejects inconsistent migration targets. An idle
-// record must be empty. An in-flight record may be empty too — a Save can
-// land in the migration's learn phase, after the in-flight flag is raised
-// but before a target plan exists — but a non-empty target must be
-// structurally valid (the serving plan's invariants, applied to the
-// target).
-func validateMigrationRecord(m migrationRecord) error {
-	if m.TargetShards == 0 && len(m.TargetCuts) == 0 {
-		return nil // no target recorded: idle, or in flight mid-learn
-	}
-	if !m.InFlight {
-		return fmt.Errorf("migration record idle but carries a target plan (%d shards, %d cuts)",
-			m.TargetShards, len(m.TargetCuts))
-	}
-	if m.TargetShards != len(m.TargetCuts)+1 || m.TargetShards < 1 {
-		return fmt.Errorf("in-flight migration target has %d shards with %d cuts", m.TargetShards, len(m.TargetCuts))
-	}
-	if m.TargetShards > maxSnapshotShards {
-		return fmt.Errorf("implausible migration target shard count %d", m.TargetShards)
-	}
-	if err := validateCuts(m.TargetCuts); err != nil {
-		return fmt.Errorf("migration target: %w", err)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package wazi_test
 
 import (
 	"bytes"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -149,9 +150,13 @@ func TestLoadShardedRefusesWrongVersion(t *testing.T) {
 		t.Fatal("LoadSharded accepted a truncated snapshot")
 	}
 
-	doctored := wazi.DoctorSnapshotVersion(t, &buf, 99)
-	_, err := wazi.LoadSharded(bytes.NewReader(doctored))
-	if err == nil || !strings.Contains(err.Error(), "version 99") {
-		t.Fatalf("doctored version error = %v, want mention of version 99", err)
+	// 99 is a future version; 2 is the last one that carried a migration
+	// record.
+	for _, v := range []int{99, 2} {
+		doctored := wazi.DoctorSnapshotVersion(t, &buf, v)
+		_, err := wazi.LoadSharded(bytes.NewReader(doctored))
+		if want := fmt.Sprintf("version %d", v); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("doctored version error = %v, want mention of %s", err, want)
+		}
 	}
 }

@@ -1,11 +1,8 @@
 package wazi
 
 import (
-	"os"
-	"path/filepath"
 	"time"
 
-	"github.com/wazi-index/wazi/internal/geom"
 	"github.com/wazi-index/wazi/internal/shard"
 )
 
@@ -19,26 +16,24 @@ import (
 // skew, and Repartition re-learns a fresh Z-order plan from the live points
 // and the aggregated recent-query windows, then migrates to it LIVE:
 //
-//  1. capture the serving snapshot and open the migration log — from here
-//     on every write applies to the serving (old-plan) shards as usual and
-//     is also appended to the log (see Insert/Delete);
+//  1. capture the serving snapshot — from here on every write lands in the
+//     serving (old-plan) shards' deltas as usual;
 //  2. outside the lock, stream the captured shards' points (old plan order),
 //     learn the new plan, and build each new shard's index under the next
 //     page-file epoch — readers keep serving the old snapshot untouched;
-//  3. drain the migration log onto the new shards in bounded rounds outside
-//     the lock, routing each logged op with the NEW plan;
-//  4. under the lock, replay the final log remainder, swap plan + shards +
-//     controls in one atomic snapshot store, and retire the old plan's
-//     indexes (stats banked, page stores parked for in-flight readers).
+//  3. under the lock, rebase every old shard's writes since the capture
+//     onto the new shards, routing each point with the NEW plan;
+//  4. still under the lock, swap plan + shards + controls in one atomic
+//     snapshot store, and retire the old plan's indexes (stats banked, page
+//     stores parked for in-flight readers).
 //
 // Readers never block: a View pinned before the swap keeps routing with the
 // old plan against the old shards; the first load after the swap sees the
-// new pair. No write is lost: every op lands either in the captured
-// snapshot (before capture) or in the migration log (after), and the log is
-// replayed in arrival order.
+// new pair. No write is lost: every write lands either in the captured
+// snapshot (before capture) or in the delta the swap rebases (after).
 //
 // Rebuilds and repartitions exclude each other under s.mu (see
-// rebuildShard); writes arriving mid-migration stay in delta buffers until
+// rebuildShard); the rebased writes stay in the new shards' deltas until
 // the new plan's control loop compacts them.
 
 // repartitionMaxDrift is the plan-drift level — total-variation distance
@@ -206,54 +201,56 @@ func (s *Sharded) Repartition() bool { return s.repartition(nil) }
 // for the drift test) and on a fresh aggregation of the recent-query rings
 // otherwise.
 func (s *Sharded) repartition(window []Rect) bool {
+	snap, window, ok := s.beginMigration(window)
+	return ok && s.migrate(snap, window)
+}
+
+// beginMigration marks a migration in flight and returns the snapshot it
+// starts from and its training window, or false when a migration or a
+// shard rebuild is in flight or the index is closed.
+func (s *Sharded) beginMigration(window []Rect) (*shardedSnapshot, []Rect, bool) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	snap := s.snap.Load()
 	if s.repartInFlight || s.closed {
-		s.mu.Unlock()
-		return false
+		return nil, nil, false
 	}
 	for _, ctl := range snap.ctls {
 		if ctl.rebuilding {
 			// A shard rebuild owns its slot's swap; let it finish and let
 			// the control loop retry the migration on its next pass.
-			s.mu.Unlock()
-			return false
+			return nil, nil, false
 		}
 	}
 	if window == nil {
 		window = aggregateWindows(snap)
 	}
 	s.repartInFlight = true
-	s.repartLog = nil
-	s.mu.Unlock()
-
-	done, _ := s.migrate(snap, window)
-	return done
+	return snap, window, true
 }
 
 // migrate runs steps 2–4 of the migration (see the file comment) against
 // the captured snapshot. Callers have set repartInFlight; migrate clears it
 // on every path. It returns whether the swap happened.
-func (s *Sharded) migrate(snap *shardedSnapshot, window []Rect) (bool, error) {
+func (s *Sharded) migrate(snap *shardedSnapshot, window []Rect) bool {
 	migrateStart := time.Now()
-	abort := func() {
+	abort := func() bool {
 		s.mu.Lock()
 		s.repartInFlight = false
-		s.repartTarget = nil
-		s.repartLog = nil
 		s.mu.Unlock()
+		return false
 	}
 
 	// Stream the captured shards into the live point set, old-plan shard by
 	// old-plan shard. Every captured structure is immutable copy-on-write,
-	// so this holds no locks (on a disk backend it reads every page).
+	// so this holds no locks (on a disk backend it reads every page). The
+	// points no index can hold stay out of the plan; rebase carries them.
 	var pts []Point
 	for _, ss := range snap.shards {
 		pts = append(pts, materialize(ss)...)
 	}
-	if len(pts) == 0 {
-		abort()
-		return false, nil
+	if pts, _ = foldable(pts); len(pts) == 0 {
+		return abort()
 	}
 
 	plan := shard.Partition(pts, window, s.opts.shards)
@@ -261,112 +258,58 @@ func (s *Sharded) migrate(snap *shardedSnapshot, window []Rect) (bool, error) {
 		s.mu.Lock()
 		s.repartFutile++
 		s.mu.Unlock()
-		abort()
-		return false, nil
+		return abort()
 	}
-	s.mu.Lock()
-	s.repartTarget = plan
-	s.mu.Unlock()
 
 	// Build the new plan's shards under the next page-file epoch. Readers
-	// are still serving the old snapshot; nothing here is visible yet.
-	epoch := snap.epoch + 1
-	shards := make([]*shardSnap, plan.NumShards())
-	ctls := make([]*shardCtl, plan.NumShards())
-	discard := func() {
-		for _, ns := range shards {
-			if ns != nil && ns.idx != nil {
-				discardIndexStorage(ns.idx)
-			}
-		}
-	}
-	for i, group := range plan.Groups {
-		ctls[i] = &shardCtl{recent: newQueryRing(s.opts.windowSize)}
-		if len(group) == 0 {
-			shards[i] = &shardSnap{empty: true}
-			continue
-		}
-		bounds := geom.RectFromPoints(group)
-		shardQs := intersectingQueries(window, bounds)
-		idx, err := buildShardIndex(group, shardQs, s.shardIndexOptions(epoch, i, 0))
-		if err == nil {
-			s.attachStoreObs(idx)
-		}
-		if err != nil {
-			// Only reachable on the disk backend (page-file creation). Fail
-			// safe: drop everything built so far and keep serving the old
-			// plan; drop any partial file of the failing shard too.
-			if s.opts.storageDir != "" {
-				os.Remove(filepath.Join(s.opts.storageDir, shardPageFile(epoch, i, 0)))
-			}
-			discard()
-			abort()
-			return false, err
-		}
-		shards[i] = &shardSnap{idx: idx, bounds: idx.Bounds(),
-			occ: buildOccupancy(group, idx.Bounds())}
-		// The shard-intersecting slice of the observed window becomes the
-		// new shard's drift baseline and seeds its recent ring, so the next
-		// drift decision and the next migration both have context.
-		ctls[i].advisor.Store(NewRebuildAdvisor(idx.Bounds(), shardQs, s.opts.windowSize, s.opts.driftThreshold))
-		ctls[i].recent.preload(shardQs)
+	// are still serving the old snapshot; nothing here is visible yet. A
+	// failed build (only a page-file creation can fail) keeps the old plan.
+	next, err := s.buildShards(plan, window, snap.epoch+1, true)
+	if err != nil {
+		return abort()
 	}
 
-	// Drain the migration log in bounded rounds OUTSIDE the mutex — on a
-	// disk backend every replayed op faults and rewrites a page, and
-	// holding s.mu across that I/O would stall all writers. Bounded rounds
-	// so a sustained write stream cannot livelock the swap; the (small)
-	// remainder is applied under the lock below.
 	s.mu.Lock()
-	for round := 0; len(s.repartLog) > 0 && round < 4; round++ {
-		batch := s.repartLog
-		s.repartLog = nil
-		s.mu.Unlock()
-		applyMigratedOps(plan, shards, batch)
-		s.mu.Lock()
-	}
 	defer s.mu.Unlock()
+	s.repartInFlight = false
 	if s.closed {
 		// Close won the race; the old snapshot stays authoritative (Close
 		// already released its stores) and the new build is discarded.
-		discard()
-		s.repartInFlight = false
-		s.repartTarget = nil
-		s.repartLog = nil
-		return false, nil
+		discardShards(next.shards)
+		return false
 	}
-	applyMigratedOps(plan, shards, s.repartLog)
 
-	// Retire the old plan: bank its counters so aggregate Stats never move
-	// backwards, and park its page stores for readers still on the old
-	// snapshot. cur (not snap) is the latest old-plan snapshot, but writes
-	// never replace a shard's idx, so snap's index set is still exact.
+	// Rebase each old shard's writes since the capture (cur against snap)
+	// onto the new shards, routed by the new plan: delta[0] collects each
+	// new shard's inserts, delta[1] its tombstones. Writes never replace a
+	// shard's idx, so cur's indexes are snap's. They retire: counters banked
+	// so aggregate Stats never move backwards, page stores parked for
+	// readers still on the old snapshot.
 	cur := s.snap.Load()
-	for _, ss := range cur.shards {
+	delta := [2][][]Point{make([][]Point, len(next.shards)), make([][]Point, len(next.shards))}
+	for i, ss := range cur.shards {
+		in, out := rebase(snap.shards[i], ss)
+		for k, pts := range [2][]Point{in, out} {
+			for _, p := range pts {
+				j := plan.Locate(p)
+				delta[k][j] = append(delta[k][j], p)
+			}
+		}
 		if ss.idx != nil {
 			s.retired = s.retired.Add(ss.idx.Stats().AtomicSnapshot())
 			s.retireIndexStore(ss.idx)
 		}
 	}
-	s.snap.Store(&shardedSnapshot{plan: plan, shards: shards, ctls: ctls, epoch: epoch})
+	for j, ns := range next.shards {
+		ns.withDelta(delta[0][j], delta[1][j])
+	}
+	s.snap.Store(next)
 	s.planRef = queryHist(plan.Bounds(), window)
-	s.repartInFlight = false
-	s.repartTarget = nil
-	s.repartLog = nil
 	s.repartSeen = nil // new plan, fresh load baseline
 	s.repartFutile = 0
 	s.repartitions.Add(1)
 	if s.obs != nil {
 		s.obs.Migration.ObserveSince(migrateStart)
 	}
-	return true, nil
-}
-
-// applyMigratedOps replays logged writes onto the not-yet-published new
-// shards, routing each op with the NEW plan. The shards are private to the
-// migration until the swap, so mutating them in place is safe.
-func applyMigratedOps(plan *shard.Plan, shards []*shardSnap, ops []shardOp) {
-	for _, op := range ops {
-		shards[plan.Locate(op.p)].apply(op)
-	}
+	return true
 }

@@ -11,8 +11,8 @@ import (
 
 // Deterministic tests for the online repartitioner: content preservation
 // across a live migration, pinned-View routing against the retired plan,
-// the imbalance advisor's trigger and non-trigger, epoch-numbered page
-// files on the disk backend, and mid-migration snapshots. The concurrent
+// the imbalance advisor's trigger and non-trigger, and epoch-numbered page
+// files on the disk backend. The concurrent
 // interleavings are covered by TestShardedRepartitionSoak; the plan-level
 // metamorphic properties live in internal/shard.
 
@@ -271,61 +271,5 @@ func TestRepartitionDiskEpochFiles(t *testing.T) {
 		if !re.PointQuery(pts[i]) {
 			t.Fatalf("warm start lost point %v", pts[i])
 		}
-	}
-}
-
-// TestSaveMidMigration: a snapshot written while a migration is in flight
-// records the migration target, still restores to the full serving state,
-// and the restored instance is not migrating (its control loop re-learns).
-func TestSaveMidMigration(t *testing.T) {
-	pts := uniformPoints(4000, 51)
-	head := hotspotWorkload(300, 0.2, 0.2, 52)
-	s := newTestSharded(t, pts, head, wazi.WithShards(4), wazi.WithoutAutoRebuild())
-	tail := hotspotWorkload(300, 0.8, 0.8, 53)
-
-	s.ForceMigrationState(t, tail, 4)
-	if !s.Migrating() {
-		t.Fatal("ForceMigrationState did not mark the index migrating")
-	}
-	// Mid-migration writes: applied to the serving shards AND logged, so the
-	// snapshot below must include them.
-	extra := wazi.Point{X: 0.456, Y: 0.654}
-	s.Insert(extra)
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	s.ClearMigrationState()
-
-	re, err := wazi.LoadSharded(bytes.NewReader(buf.Bytes()), wazi.WithoutAutoRebuild())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.Migrating() {
-		t.Fatal("restored instance claims to be mid-migration")
-	}
-	if re.Len() != len(pts)+1 {
-		t.Fatalf("restored Len %d, want %d", re.Len(), len(pts)+1)
-	}
-	if !re.PointQuery(extra) {
-		t.Fatal("mid-migration insert lost across save/reload")
-	}
-
-	// A Save can also land in the migration's LEARN phase — in flight, no
-	// target plan yet. That snapshot must restore too.
-	s.ForceMigrationLearnPhase()
-	var learn bytes.Buffer
-	if err := s.Save(&learn); err != nil {
-		t.Fatal(err)
-	}
-	s.ClearMigrationState()
-	re2, err := wazi.LoadSharded(bytes.NewReader(learn.Bytes()), wazi.WithoutAutoRebuild())
-	if err != nil {
-		t.Fatalf("snapshot saved during the learn phase does not restore: %v", err)
-	}
-	defer re2.Close()
-	if re2.Len() != len(pts)+1 {
-		t.Fatalf("learn-phase snapshot Len %d, want %d", re2.Len(), len(pts)+1)
 	}
 }

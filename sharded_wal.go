@@ -107,8 +107,7 @@ func (s *Sharded) walAck(seq uint64) {
 }
 
 // initWAL opens the log and replays every record past afterSeq through the
-// normal write path (the same replay idiom PR 5's migrations use), with
-// re-logging suppressed. Called during construction after the snapshot
+// normal write path, with re-logging suppressed. Called during construction after the snapshot
 // exists but before the background loop starts, so no concurrency.
 func (s *Sharded) initWAL(afterSeq uint64) error {
 	if s.opts.walDir == "" {

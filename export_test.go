@@ -25,6 +25,20 @@ func (s *Sharded) ShardState(i int) (empty, bufferOnly bool) {
 	return ss.empty, ss.idx == nil && ss.extra.size() > 0
 }
 
+// BeginMigration starts a plan migration trained on window (the aggregated
+// recent-query rings when nil) and stops at its capture — the deterministic
+// way for tests to write and Save while a migration is in flight. The
+// returned func runs the rest of the migration and reports whether it
+// swapped; call it before further migrations.
+func (s *Sharded) BeginMigration(t testing.TB, window []Rect) func() bool {
+	t.Helper()
+	snap, window, ok := s.beginMigration(window)
+	if !ok {
+		t.Fatal("BeginMigration: a migration or a shard rebuild is in flight, or the index is closed")
+	}
+	return func() bool { return s.migrate(snap, window) }
+}
+
 // DoctorSnapshotVersion re-encodes a saved sharded snapshot with the header
 // version replaced, preserving every shard record — a test hook for
 // asserting that Load refuses any other format version with a clear error.

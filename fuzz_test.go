@@ -75,14 +75,49 @@ func FuzzLoadSharded(f *testing.F) {
 	if err := s.Save(&buf); err != nil {
 		f.Fatal(err)
 	}
+	s.Close()
 	f.Add(buf.Bytes())
 	f.Add(buf.Bytes()[:len(buf.Bytes())/2])
 	flipped := append([]byte(nil), buf.Bytes()...)
 	flipped[len(flipped)/4] ^= 0x10
 	f.Add(flipped)
 	f.Add([]byte{})
-	// Drive a shifted hotspot and migrate once, so a snapshot with a nonzero
-	// epoch is in the corpus too.
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := LoadSharded(bytes.NewReader(data), WithoutAutoRebuild())
+		if err != nil {
+			return
+		}
+		got.RangeQuery(Rect{MinX: 0.2, MinY: 0.2, MaxX: 0.8, MaxY: 0.8})
+		_ = got.Len()
+		got.Close()
+	})
+}
+
+// FuzzLoadShardedMigration targets the snapshots a plan migration leaves:
+// the epoch-carrying header of a repartitioned index and the shard records
+// a Save writes while a migration is in flight, with writes buffered since
+// its capture. Seeds are REAL snapshots — one saved between a migration's
+// capture and its swap, one after the swap — so the fuzzer starts inside
+// the format and mutates outward. Arbitrary input must produce a clean
+// error or a usable index, never a panic.
+func FuzzLoadShardedMigration(f *testing.F) {
+	pts := fuzzPoints(700, 7)
+	rng := rand.New(rand.NewSource(8))
+	head := make([]Rect, 40)
+	for i := range head {
+		cx, cy := 0.2+rng.Float64()*0.1, 0.2+rng.Float64()*0.1
+		head[i] = Rect{MinX: cx - 0.04, MinY: cy - 0.04, MaxX: cx + 0.04, MaxY: cy + 0.04}
+	}
+	s, err := NewSharded(pts, head, WithShards(4), WithoutAutoRebuild(),
+		WithIndexOptions(WithLeafSize(32), WithSeed(9)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer s.Close()
+	// Drive a shifted hotspot and migrate once, so the snapshot carries a
+	// nonzero epoch; then start a second migration back to the head
+	// workload and save before it swaps.
 	for range 1500 {
 		cx, cy := 0.8+rng.Float64()*0.1, 0.8+rng.Float64()*0.1
 		s.RangeQuery(Rect{MinX: cx - 0.04, MinY: cy - 0.04, MaxX: cx + 0.04, MaxY: cy + 0.04})
@@ -93,15 +128,31 @@ func FuzzLoadSharded(f *testing.F) {
 	for range 30 {
 		s.Insert(Point{X: rng.Float64(), Y: rng.Float64()})
 	}
-	var migrated bytes.Buffer
-	if err := s.Save(&migrated); err != nil {
+	finish := s.BeginMigration(f, head)
+	// A couple of writes since the capture, as a real migration would see.
+	s.Insert(Point{X: 0.5, Y: 0.5})
+	s.Delete(pts[0])
+	var mid bytes.Buffer
+	if err := s.Save(&mid); err != nil {
 		f.Fatal(err)
 	}
-	s.Close()
-	f.Add(migrated.Bytes())
-	flipped = append([]byte(nil), migrated.Bytes()...)
+	if !finish() {
+		f.Fatal("seed setup: the second migration did not swap")
+	}
+
+	f.Add(mid.Bytes())
+	f.Add(mid.Bytes()[:len(mid.Bytes())/2])
+	f.Add(mid.Bytes()[:40]) // header survives, first shard record truncated
+	flipped := append([]byte(nil), mid.Bytes()...)
 	flipped[len(flipped)/5] ^= 0x20
 	f.Add(flipped)
+	// The idle snapshot after the swap too, so both epochs are in corpus.
+	var idle bytes.Buffer
+	if err := s.Save(&idle); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(idle.Bytes())
+	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := LoadSharded(bytes.NewReader(data), WithoutAutoRebuild())
@@ -110,10 +161,11 @@ func FuzzLoadSharded(f *testing.F) {
 		}
 		// An accepted snapshot must be fully usable: queryable, writable,
 		// migratable, and re-saveable without panicking.
-		got.RangeQuery(Rect{MinX: 0.2, MinY: 0.2, MaxX: 0.8, MaxY: 0.8})
+		got.RangeQuery(Rect{MinX: 0.1, MinY: 0.1, MaxX: 0.9, MaxY: 0.9})
 		got.PointQuery(Point{X: 0.5, Y: 0.5})
 		_ = got.Len()
 		_ = got.PlanEpoch()
+		_ = got.Migrating()
 		got.Insert(Point{X: 0.25, Y: 0.75})
 		got.CheckRepartition()
 		var out bytes.Buffer

@@ -11,8 +11,8 @@ import (
 
 // Deterministic tests for the online repartitioner: content preservation
 // across a live migration, pinned-View routing against the retired plan,
-// the imbalance advisor's trigger and non-trigger, and epoch-numbered page
-// files on the disk backend. The concurrent
+// the imbalance advisor's trigger and non-trigger, epoch-numbered page
+// files on the disk backend, and mid-migration snapshots. The concurrent
 // interleavings are covered by TestShardedRepartitionSoak; the plan-level
 // metamorphic properties live in internal/shard.
 
@@ -271,5 +271,67 @@ func TestRepartitionDiskEpochFiles(t *testing.T) {
 		if !re.PointQuery(pts[i]) {
 			t.Fatalf("warm start lost point %v", pts[i])
 		}
+	}
+}
+
+// TestSaveMidMigration: a snapshot written while a migration is in flight —
+// between its capture and its swap — holds the writes made since the
+// capture, restores to the full serving state, and the restored instance is
+// not migrating (its control loop re-learns).
+func TestSaveMidMigration(t *testing.T) {
+	pts := uniformPoints(4000, 51)
+	head := hotspotWorkload(300, 0.2, 0.2, 52)
+	s := newTestSharded(t, pts, head, wazi.WithShards(4), wazi.WithoutAutoRebuild())
+	tail := hotspotWorkload(300, 0.8, 0.8, 53)
+
+	finish := s.BeginMigration(t, tail)
+	if !s.Migrating() {
+		t.Fatal("BeginMigration did not mark the index migrating")
+	}
+	// A mid-migration write: applied to the serving shards and rebased onto
+	// the new ones at the swap, so the snapshot below must include it.
+	extra := wazi.Point{X: 0.456, Y: 0.654}
+	s.Insert(extra)
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !finish() {
+		t.Fatal("the migration did not swap")
+	}
+	if s.Len() != len(pts)+1 || !s.PointQuery(extra) {
+		t.Fatalf("after the swap: Len %d, want %d, or the mid-migration insert is lost", s.Len(), len(pts)+1)
+	}
+
+	re, err := wazi.LoadSharded(bytes.NewReader(buf.Bytes()), wazi.WithoutAutoRebuild())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.Migrating() {
+		t.Fatal("restored instance claims to be mid-migration")
+	}
+	if re.Len() != len(pts)+1 {
+		t.Fatalf("restored Len %d, want %d", re.Len(), len(pts)+1)
+	}
+	if !re.PointQuery(extra) {
+		t.Fatal("mid-migration insert lost across save/reload")
+	}
+
+	// A Save can also land before the new plan is learned — in flight, no
+	// writes since the capture yet. That snapshot must restore too.
+	finish = s.BeginMigration(t, head)
+	var learn bytes.Buffer
+	if err := s.Save(&learn); err != nil {
+		t.Fatal(err)
+	}
+	finish()
+	re2, err := wazi.LoadSharded(bytes.NewReader(learn.Bytes()), wazi.WithoutAutoRebuild())
+	if err != nil {
+		t.Fatalf("snapshot saved during the learn phase does not restore: %v", err)
+	}
+	defer re2.Close()
+	if re2.Len() != len(pts)+1 {
+		t.Fatalf("learn-phase snapshot Len %d, want %d", re2.Len(), len(pts)+1)
 	}
 }

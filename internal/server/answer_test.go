@@ -18,12 +18,14 @@ import (
 
 // answerBackend is an index whose answers a test chooses, down to the bits:
 // every range and kNN returns pts, every count n, every point lookup and
-// delete found. It is its own ReadView.
+// delete found. It counts the inserts it is asked for. It is its own
+// ReadView.
 type answerBackend struct {
 	Backend // nil: the /v1 routes call only View, Insert and Delete
 	pts     []wazi.Point
 	n       int
 	found   bool
+	inserts int
 }
 
 func (b *answerBackend) View() ReadView { return b }
@@ -35,7 +37,7 @@ func (b *answerBackend) PointQuery(wazi.Point) bool { return b.found }
 func (b *answerBackend) KNNAppend(dst []wazi.Point, _ wazi.Point, _ int) []wazi.Point {
 	return append(dst, b.pts...)
 }
-func (b *answerBackend) Insert(wazi.Point)      {}
+func (b *answerBackend) Insert(wazi.Point)      { b.inserts++ }
 func (b *answerBackend) Delete(wazi.Point) bool { return b.found }
 
 // The answer shapes as encoding/json marshals them: the reference every
@@ -91,6 +93,31 @@ func TestNonFiniteAnswerIs500(t *testing.T) {
 	b.pts[1].X = 0.25
 	if code, v := post(t, ts, "/v1/knn", `{"point":{"X":0.5,"Y":0.5},"k":2}`); code != http.StatusOK || v["count"] != 2.0 {
 		t.Fatalf("finite answer after the 500s: status %d, %v", code, v)
+	}
+}
+
+// TestBatchStopsAtNonFiniteAnswer: a batch fails with a 500 at the first
+// answer JSON cannot carry; the ops before it have run and none after it
+// runs, so a client that retries the 500 does not insert twice.
+func TestBatchStopsAtNonFiniteAnswer(t *testing.T) {
+	b := &answerBackend{pts: []wazi.Point{{X: 0.5, Y: 0.5}, {X: math.Inf(1), Y: 0.5}}}
+	srv := New(b, Config{})
+	const knn, insert = `{"op":"knn","point":{"X":0.5,"Y":0.5},"k":2}`, `{"op":"insert","point":{"X":0.5,"Y":0.5}}`
+	for _, tt := range []struct {
+		ops     string
+		inserts int
+	}{
+		{knn + "," + insert, 0},
+		{insert + "," + knn + "," + insert, 1},
+	} {
+		b.inserts = 0
+		rec := serveOnce(srv, "/v1/batch", `{"ops":[`+tt.ops+`]}`)
+		if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "non-finite") {
+			t.Fatalf("batch [%s]: status %d, body %s; want the non-finite 500", tt.ops, rec.Code, rec.Body)
+		}
+		if b.inserts != tt.inserts {
+			t.Errorf("batch [%s]: %d inserts applied, want %d", tt.ops, b.inserts, tt.inserts)
+		}
 	}
 }
 

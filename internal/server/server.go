@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"net/http"
 	"runtime"
 	"runtime/debug"
@@ -46,6 +45,7 @@ import (
 	"time"
 
 	wazi "github.com/wazi-index/wazi"
+	"github.com/wazi-index/wazi/internal/jsonfloat"
 	"github.com/wazi-index/wazi/internal/obs"
 	"github.com/wazi-index/wazi/internal/workload"
 )
@@ -464,33 +464,25 @@ type batchReq struct {
 	Ops []workload.WireOp `json:"ops"`
 }
 
-// appendFloat appends a finite f exactly as encoding/json writes a float64:
-// the shortest form that round-trips, 'f' unless the magnitude is below 1e-6
-// or at least 1e21, and then with the exponent unpadded (1e-07 → 1e-7).
-func appendFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2], b = b[n-1], b[:n-1]
-	}
-	return b
-}
-
 // appendPoints appends the range or kNN answer in pts to out,
-// {"count":n,"points":[{"X":…,"Y":…},…]}, and notes a non-finite coordinate.
+// {"count":n,"points":[{"X":…,"Y":…},…]}, its numbers as encoding/json
+// writes them; at a non-finite coordinate it notes inf and stops, since the
+// request will fail.
 func (rq *request) appendPoints() {
 	b := strconv.AppendInt(append(rq.out, `{"count":`...), int64(len(rq.pts)), 10)
 	b = append(b, `,"points":[`...)
 	for i, p := range rq.pts {
-		rq.inf = rq.inf || math.IsInf(p.X, 0) || math.IsNaN(p.X) || math.IsInf(p.Y, 0) || math.IsNaN(p.Y)
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = appendFloat(append(b, `{"X":`...), p.X)
-		b = append(appendFloat(append(b, `,"Y":`...), p.Y), '}')
+		var fx, fy bool
+		b, fx = jsonfloat.Append(append(b, `{"X":`...), p.X)
+		b, fy = jsonfloat.Append(append(b, `,"Y":`...), p.Y)
+		if !fx || !fy {
+			rq.inf = true
+			break
+		}
+		b = append(b, '}')
 	}
 	rq.out = append(b, "]}"...)
 }
@@ -574,7 +566,8 @@ func validateBatch(ops []workload.WireOp) error {
 // re-pinned after every write, so within one batch reads observe the
 // batch's own earlier writes, and runs of consecutive reads share a
 // snapshot. The whole batch is validated before any op executes: a
-// malformed batch changes nothing.
+// malformed batch changes nothing. An answer that JSON cannot carry fails the
+// batch there: the ops before it have run, and none after it runs.
 func (s *Server) handleBatch(rq *request, r *http.Request) {
 	if !rq.decode(r, &rq.batch) {
 		return
@@ -587,14 +580,15 @@ func (s *Server) handleBatch(rq *request, r *http.Request) {
 		return
 	}
 	rq.out = append(rq.out, `{"results":[`...)
-	for i := range ops {
-		if i > 0 {
+	n := 0
+	for ; n < len(ops) && !rq.inf; n++ {
+		if n > 0 {
 			rq.out = append(rq.out, ',')
 		}
-		s.exec(rq, &ops[i])
+		s.exec(rq, &ops[n])
 	}
 	rq.out = append(rq.out, "]}"...)
-	s.ops.Add(int64(len(ops)))
+	s.ops.Add(int64(n))
 	rq.send()
 }
 

@@ -38,12 +38,7 @@ func BuildWaZI(pts []geom.Point, queries []geom.Rect, opts Options) (*ZIndex, er
 	}
 	z.adoptStore(st)
 	b := &greedyBuilder{opts: opts, st: st, rng: rand.New(rand.NewSource(opts.Seed)), medianBuf: make([]float64, len(own))}
-	switch {
-	case opts.ExactCounts:
-		b.est = nil // per-cell exact counting
-	case opts.Estimator != nil:
-		b.est = opts.Estimator
-	default:
+	if !opts.ExactCounts {
 		b.est = density.NewForest(own, opts.DensityOpts)
 	}
 	// Clip the workload to the data space; queries that miss it entirely
@@ -67,7 +62,7 @@ type greedyBuilder struct {
 	opts Options
 	st   storage.PageStore
 	rng  *rand.Rand
-	est  density.Estimator // nil means exact counting over the cell's points
+	est  *density.Forest // nil means exact counting over the cell's points
 	// medianBuf is medianSplit's scratch, as long as the root cell.
 	medianBuf []float64
 }

@@ -171,11 +171,8 @@ type Options struct {
 	// instead of zero-copy mapped views. Ignored for the RAM-resident
 	// backend.
 	StorageDisableMmap bool
-	// Estimator supplies data-density estimates to the greedy cost
-	// evaluation. Nil builds an RFDE forest over the data (the paper's
-	// learned component). Ignored when ExactCounts is set.
-	Estimator density.Estimator
-	// ExactCounts replaces the learned estimator with exact per-candidate
+	// ExactCounts replaces the learned estimator — an RFDE forest over the
+	// data, the paper's learned component — with exact per-candidate
 	// counting. Slower to build; used by tests and the estimator ablation.
 	ExactCounts bool
 	// DensityOpts configure the default RFDE forest.

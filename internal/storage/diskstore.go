@@ -1,12 +1,12 @@
 package storage
 
 import (
-	"container/list"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -530,7 +530,7 @@ func (d *DiskStore) writeChain(chain []int32, pts []geom.Point, bounds geom.Rect
 // readPage assembles the page from its slot chain with positional reads; it
 // runs OUTSIDE d.mu (the pread fault path), so it must not touch mutable
 // store state — maxPts is the caller's mu-captured cycle bound.
-func (d *DiskStore) readPage(id PageID, maxPts int) (*Page, geom.Rect) {
+func (d *DiskStore) readPage(id PageID, maxPts int) ([]geom.Point, geom.Rect) {
 	state, count, next, bounds := d.readSlotHeader(int32(id))
 	if state != slotHead {
 		d.ioPanic("resolving page", fmt.Errorf("page %d is not a chain head (state %d)", id, state))
@@ -548,7 +548,7 @@ func (d *DiskStore) readPage(id PageID, maxPts int) (*Page, geom.Rect) {
 		}
 		_, count, next, _ = d.readSlotHeader(i)
 	}
-	return &Page{Pts: pts}, bounds
+	return pts, bounds
 }
 
 func (d *DiskStore) readSlotPoints(i int32, count int) []geom.Point {
@@ -582,10 +582,9 @@ func (d *DiskStore) Alloc(pts []geom.Point, bounds geom.Rect) PageID {
 	d.npages++
 	id := PageID(head)
 	if d.osf != nil && len(pts) <= d.slotCap {
-		m := d.curMap()
-		d.cacheInsert(id, &Page{Pts: m.pointsAt(d.slotOff(head)+slotHeaderSize, len(pts))}, bounds, true)
+		d.cacheInsert(id, d.curMap().pointsAt(d.slotOff(head)+slotHeaderSize, len(pts)), bounds, true)
 	} else {
-		d.cacheInsert(id, &Page{Pts: append([]geom.Point(nil), pts...)}, bounds, false)
+		d.cacheInsert(id, append([]geom.Point(nil), pts...), bounds, false)
 	}
 	d.hist.extendSpace(bounds)
 	return id
@@ -597,7 +596,7 @@ func (d *DiskStore) Alloc(pts []geom.Point, bounds geom.Rect) PageID {
 // one pin on the returned entry and must release it (View hands the pin to
 // the PageView; Page drops it after promoting).
 //
-// The cache-hit path performs no allocations: a map lookup, an LRU move,
+// The cache-hit path performs no allocations: a table load, an LRU move,
 // and two pin increments. A pread-mode miss reads from disk OUTSIDE the
 // store mutex (file reads are positional and the structural fields a fault
 // touches are immutable while reads are running — mutation requires the
@@ -657,20 +656,14 @@ func (d *DiskStore) pageEntry(id PageID) (*cacheEntry, []geom.Point) {
 		d.mu.Unlock()
 	}()
 
-	t0 := time.Now()
-	pg, bounds := d.readPage(id, maxPts)
-	elapsed := time.Since(t0)
-	d.reads.Add(1)
-	d.readNanos.Add(int64(elapsed))
-	if h := d.readObs.Load(); h != nil {
-		h.Observe(elapsed.Seconds())
-	}
+	t0 := time.Since(clockEpoch)
+	pts, bounds := d.readPage(id, maxPts)
+	d.countRead(t0)
 
 	d.mu.Lock()
-	e := d.cacheInsert(id, pg, bounds, false)
+	e := d.cacheInsert(id, pts, bounds, false)
 	e.pins.Add(1)
 	d.pins.Add(1)
-	pts := e.pg.Pts
 	d.mu.Unlock()
 	return e, pts
 }
@@ -685,19 +678,18 @@ func (d *DiskStore) faultMapped(id PageID) *cacheEntry {
 	if s := d.sink.Load(); s != nil {
 		atomic.AddInt64(&s.CacheMisses, 1)
 	}
-	t0 := time.Now()
+	t0 := time.Since(clockEpoch)
 	m := d.curMap()
 	state, count, next, bounds := d.slotHeaderMapped(m, int32(id))
 	if state != slotHead {
 		d.ioPanic("resolving page", fmt.Errorf("page %d is not a chain head (state %d)", id, state))
 	}
-	var pg *Page
+	var pts []geom.Point
 	mmapped := next == -1
 	if mmapped {
-		pg = &Page{Pts: m.pointsAt(d.slotOff(int32(id))+slotHeaderSize, count)}
+		pts = m.pointsAt(d.slotOff(int32(id))+slotHeaderSize, count)
 	} else {
-		total := d.chainLenMapped(m, int32(id))
-		pts := make([]geom.Point, 0, total)
+		pts = make([]geom.Point, 0, d.chainLenMapped(m, int32(id)))
 		i := int32(id)
 		for {
 			pts = append(pts, m.pointsAt(d.slotOff(i)+slotHeaderSize, count)...)
@@ -710,15 +702,24 @@ func (d *DiskStore) faultMapped(id PageID) *cacheEntry {
 			}
 			_, count, next, _ = d.slotHeaderMapped(m, i)
 		}
-		pg = &Page{Pts: pts}
 	}
-	elapsed := time.Since(t0)
+	d.countRead(t0)
+	return d.cacheInsert(id, pts, bounds, mmapped)
+}
+
+// clockEpoch anchors the fault clock: time.Since(clockEpoch) reads only the
+// monotonic clock, where time.Now reads the wall clock too.
+var clockEpoch = time.Now()
+
+// countRead counts one page-file read that started at t0, a reading of
+// time.Since(clockEpoch), into reads, readNanos and the read histogram.
+func (d *DiskStore) countRead(t0 time.Duration) {
+	elapsed := time.Since(clockEpoch) - t0
 	d.reads.Add(1)
 	d.readNanos.Add(int64(elapsed))
 	if h := d.readObs.Load(); h != nil {
 		h.Observe(elapsed.Seconds())
 	}
-	return d.cacheInsert(PageID(id), pg, bounds, mmapped)
 }
 
 // slotHeaderMapped is readSlotHeader served from the mapping (no syscall).
@@ -763,10 +764,9 @@ func (d *DiskStore) Page(id PageID) *Page {
 		e.pg.Pts = pts
 		e.mmapped = false
 	}
-	pg := e.pg
 	d.mu.Unlock()
 	e.unpin()
-	return pg
+	return &e.pg
 }
 
 // View implements PageStore: the allocation-free read path. The returned
@@ -787,9 +787,9 @@ func (d *DiskStore) Update(id PageID, pts []geom.Point, bounds geom.Rect) {
 	defer d.mu.Unlock()
 	d.writeChain(d.chainSlots(id), pts, bounds)
 	if e := d.cache.get(id); e != nil {
-		d.cache.resize(e, pts, bounds)
+		e.set(pts, bounds, false) // pts is caller heap, not mapped file bytes
 	} else {
-		d.cacheInsert(id, &Page{Pts: append([]geom.Point(nil), pts...)}, bounds, false)
+		d.cacheInsert(id, append([]geom.Point(nil), pts...), bounds, false)
 	}
 	d.hist.extendSpace(bounds)
 }
@@ -805,7 +805,9 @@ func (d *DiskStore) Free(id PageID) {
 		d.pushSlot(i)
 	}
 	d.npages--
-	d.cache.drop(id)
+	if e := d.cache.get(id); e != nil {
+		d.cache.remove(e)
+	}
 }
 
 // Has reports whether id names a live page.
@@ -878,7 +880,7 @@ func (d *DiskStore) CacheStats() CacheStats {
 		Misses:      d.misses,
 		Evictions:   d.evictions,
 		HotRetained: d.hotRetained,
-		Resident:    d.cache.len(),
+		Resident:    d.cache.n,
 		Capacity:    d.cache.capPages,
 	}
 }
@@ -981,9 +983,9 @@ func (d *DiskStore) Kind() string { return "disk" }
 
 // cacheInsert adds a page to the cache and evicts if over capacity, calling
 // back into the store's counters. Callers hold d.mu.
-func (d *DiskStore) cacheInsert(id PageID, pg *Page, bounds geom.Rect, mmapped bool) *cacheEntry {
-	e := d.cache.insert(d, id, pg, bounds, mmapped)
-	for d.cache.len() > d.cache.capPages {
+func (d *DiskStore) cacheInsert(id PageID, pts []geom.Point, bounds geom.Rect, mmapped bool) *cacheEntry {
+	e := d.cache.insert(d, id, pts, bounds, mmapped)
+	for d.cache.n > d.cache.capPages {
 		hotSkips := d.cache.evictOne(&d.hist)
 		d.evictions++
 		d.hotRetained += int64(hotSkips)
@@ -1001,17 +1003,32 @@ func (d *DiskStore) cacheInsert(id PageID, pg *Page, bounds geom.Rect, mmapped b
 // bounds fall in hot cells of the query histogram, so the hot working set
 // survives scans over cold regions (plain LRU would let a single sequential
 // sweep flush it).
+//
+// The LRU list is intrusive (prev/next live on the entries, around a
+// sentinel) and entries are found through a table indexed by PageID —
+// PageIDs are head-slot indices, dense below the file's slot count — so a
+// hit or a fault touches no map and allocates no list node.
 type blockCache struct {
 	capPages int
-	entries  map[PageID]*list.Element
-	lru      *list.List // front = most recently used
+	n        int           // resident entries
+	byID     []*cacheEntry // nil where the page is not resident
+	head     cacheEntry    // sentinel: head.next is the MRU end, head.prev the LRU end
 }
 
+// cacheEntry is one cached page, its Page embedded: a fault allocates one
+// object. The unpin rule: unpin reads what it needs from the entry before
+// its decrement and touches nothing on it afterwards. Entries are not
+// recycled, but the rule is what would let an evicted one be reused.
 type cacheEntry struct {
-	id     PageID
-	pg     *Page
-	bounds geom.Rect
-	store  *DiskStore
+	prev, next *cacheEntry
+	id         PageID
+	pg         Page
+	bounds     geom.Rect
+	store      *DiskStore
+	// cells are the histogram cells bounds cover, valid while cellGen
+	// equals the histogram's gen (0: never computed).
+	cells   cellMask
+	cellGen uint64
 	// pins counts PageViews borrowing this entry's points. A pinned entry
 	// survives eviction and DropCaches by simple detachment: the entry (and
 	// through it the heap copy or the file mapping) stays reachable from
@@ -1027,10 +1044,16 @@ type cacheEntry struct {
 // except when the last pin on a closing store triggers the deferred
 // mapping reap.
 func (e *cacheEntry) unpin() {
+	d := e.store // read before the decrement: see the rule on cacheEntry
 	e.pins.Add(-1)
-	if e.store.pins.Add(-1) == 0 && e.store.closing.Load() {
-		e.store.reapMappings()
+	if d.pins.Add(-1) == 0 && d.closing.Load() {
+		d.reapMappings()
 	}
+}
+
+// set installs a page's points and bounds, invalidating the cell mask.
+func (e *cacheEntry) set(pts []geom.Point, bounds geom.Rect, mmapped bool) {
+	e.pg.Pts, e.bounds, e.mmapped, e.cellGen = pts, bounds, mmapped, 0
 }
 
 // evictScan bounds how many LRU-end entries an eviction inspects while
@@ -1039,11 +1062,10 @@ const evictScan = 8
 
 func (c *blockCache) init(capPages int) {
 	c.capPages = capPages
-	c.entries = make(map[PageID]*list.Element)
-	c.lru = list.New()
+	c.n = 0
+	clear(c.byID)
+	c.head.prev, c.head.next = &c.head, &c.head
 }
-
-func (c *blockCache) len() int { return c.lru.Len() }
 
 // bytesResident sums the cached pages' heap footprint on demand;
 // incremental accounting cannot work because update paths mutate the cached
@@ -1054,8 +1076,7 @@ func (c *blockCache) len() int { return c.lru.Len() }
 // bytes rather than cache heap.
 func (c *blockCache) bytesResident() int64 {
 	var b int64
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*cacheEntry)
+	for e := c.head.next; e != &c.head; e = e.next {
 		b += pageOverheadBytes
 		if !e.mmapped {
 			b += int64(len(e.pg.Pts)) * pointSize
@@ -1068,38 +1089,52 @@ func (c *blockCache) bytesResident() int64 {
 // Page struct's slice header) counted by bytesResident.
 const pageOverheadBytes = 24
 
+// get returns the resident entry of id, moved to the MRU end, or nil.
 func (c *blockCache) get(id PageID) *cacheEntry {
-	el, ok := c.entries[id]
-	if !ok {
+	if uint(id) >= uint(len(c.byID)) {
 		return nil
 	}
-	c.lru.MoveToFront(el)
-	return el.Value.(*cacheEntry)
-}
-
-func (c *blockCache) insert(d *DiskStore, id PageID, pg *Page, bounds geom.Rect, mmapped bool) *cacheEntry {
-	if el, ok := c.entries[id]; ok {
-		e := el.Value.(*cacheEntry)
-		e.pg, e.bounds, e.mmapped = pg, bounds, mmapped
-		c.lru.MoveToFront(el)
-		return e
+	e := c.byID[id]
+	if e != nil && e != c.head.next {
+		c.unlink(e)
+		c.pushFront(e)
 	}
-	e := &cacheEntry{id: id, pg: pg, bounds: bounds, store: d, mmapped: mmapped}
-	c.entries[id] = c.lru.PushFront(e)
 	return e
 }
 
-func (c *blockCache) resize(e *cacheEntry, pts []geom.Point, bounds geom.Rect) {
-	e.pg.Pts = pts
-	e.bounds = bounds
-	e.mmapped = false // pts is caller heap, not mapped file bytes
+func (c *blockCache) pushFront(e *cacheEntry) {
+	e.prev, e.next = &c.head, c.head.next
+	e.next.prev = e
+	c.head.next = e
 }
 
-func (c *blockCache) drop(id PageID) {
-	if el, ok := c.entries[id]; ok {
-		c.lru.Remove(el)
-		delete(c.entries, id)
+func (c *blockCache) unlink(e *cacheEntry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+}
+
+func (c *blockCache) insert(d *DiskStore, id PageID, pts []geom.Point, bounds geom.Rect, mmapped bool) *cacheEntry {
+	if e := c.get(id); e != nil {
+		e.set(pts, bounds, mmapped)
+		return e
 	}
+	if n := int(id) + 1; n > len(c.byID) {
+		c.byID = slices.Grow(c.byID, n-len(c.byID))[:n]
+	}
+	e := &cacheEntry{id: id, store: d}
+	e.set(pts, bounds, mmapped)
+	c.byID[id] = e
+	c.pushFront(e)
+	c.n++
+	return e
+}
+
+// remove detaches e from the cache; its links are cleared so a detached
+// entry kept alive by a view does not keep its old neighbours alive.
+func (c *blockCache) remove(e *cacheEntry) {
+	c.unlink(e)
+	e.prev, e.next = nil, nil
+	c.byID[e.id] = nil
+	c.n--
 }
 
 // evictOne removes one entry, preferring the least-recently-used page that
@@ -1111,75 +1146,79 @@ func (c *blockCache) drop(id PageID) {
 // entry is safe, the views keep the detached entry's bytes alive — and
 // nothing was retained, so zero is reported.
 func (c *blockCache) evictOne(h *queryHist) (hotSkips int) {
-	victim := c.lru.Back()
-	if victim == nil {
+	victim := c.head.prev
+	if victim == &c.head {
 		return 0
 	}
-	el := victim
 	foundCold := false
-	for i := 0; el != nil && i < evictScan; i++ {
-		e := el.Value.(*cacheEntry)
+	for i, e := 0, victim; e != &c.head && i < evictScan; i, e = i+1, e.prev {
 		if e.pins.Load() > 0 {
-			el = el.Prev()
 			continue
 		}
-		if !h.hot(e.bounds) {
-			victim = el
-			foundCold = true
+		if !h.hot(e) {
+			victim, foundCold = e, true
 			break
 		}
 		hotSkips++
-		el = el.Prev()
 	}
 	if !foundCold {
 		hotSkips = 0
 	}
-	e := victim.Value.(*cacheEntry)
-	c.lru.Remove(victim)
-	delete(c.entries, e.id)
+	c.remove(victim)
 	return hotSkips
 }
 
 // ----------------------------------------------------------- the histogram
 
+const (
+	histSide  = 16
+	histCells = histSide * histSide
+)
+
+// cellMask is a set of histogram cells, bit c%64 of word c/64 for cell c.
+type cellMask [histCells / 64]uint64
+
 // queryHist is the RebuildAdvisor-style spatial histogram of recent query
 // centers that makes eviction workload-aware. It keeps a sliding window of
-// the last HistWindow queries over a side x side grid; a cell is hot when
+// the last HistWindow queries over a histSide² grid; a cell is hot when
 // its share of the window is well above the uniform share.
+//
+// The hot cells are kept as a cellMask, updated as observe moves counts,
+// and each cache entry caches the mask of cells its bounds cover, so the
+// eviction test is four ANDs. gen stamps those masks: it advances whenever
+// space changes, which moves every cell boundary.
 type queryHist struct {
-	side   int
-	space  geom.Rect
-	haveSp bool
-	counts []int
-	window []int32
-	next   int
-	filled int
+	space     geom.Rect
+	haveSp    bool
+	gen       uint64
+	counts    [histCells]int
+	window    []int32
+	next      int
+	filled    int
+	threshold int      // a cell is hot when its count exceeds this (0: not yet set)
+	hotCells  cellMask // the cells whose count exceeds threshold
 }
 
-const histSide = 16
-
 func (h *queryHist) init(window int) {
-	h.side = histSide
-	h.counts = make([]int, h.side*h.side)
 	h.window = make([]int32, window)
 	for i := range h.window {
 		h.window[i] = -1
 	}
-	h.next = 0
-	h.filled = 0
-	// space survives re-init deliberately: the data domain does not change
-	// when the cache is dropped.
 }
 
 // extendSpace grows the histogram's domain to cover r. Cell assignments of
 // previously windowed queries are not remapped; the window turns over
 // quickly enough that transient misclassification is harmless.
 func (h *queryHist) extendSpace(r geom.Rect) {
-	if !h.haveSp {
-		h.space, h.haveSp = r, true
-		return
+	if h.haveSp {
+		r = h.space.Union(r)
 	}
-	h.space = h.space.Union(r)
+	// Float comparison: a NaN bound never compares equal, so every mask is
+	// recomputed, and a ±0 flip moves no cell boundary.
+	if !h.haveSp || r != h.space {
+		h.space, h.haveSp = r, true
+		h.gen++
+	}
 }
 
 func (h *queryHist) cellOf(p geom.Point) int32 {
@@ -1190,27 +1229,16 @@ func (h *queryHist) cellOf(p geom.Point) int32 {
 	if ht <= 0 {
 		ht = 1
 	}
-	cx := int((p.X - h.space.MinX) / w * float64(h.side))
-	cy := int((p.Y - h.space.MinY) / ht * float64(h.side))
-	cx = clampInt(cx, 0, h.side-1)
-	cy = clampInt(cy, 0, h.side-1)
-	return int32(cy*h.side + cx)
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
+	cx := min(max(int((p.X-h.space.MinX)/w*histSide), 0), histSide-1)
+	cy := min(max(int((p.Y-h.space.MinY)/ht*histSide), 0), histSide-1)
+	return int32(cy*histSide + cx)
 }
 
 func (h *queryHist) observe(r geom.Rect) {
 	h.extendSpace(r)
 	c := h.cellOf(r.Center())
-	if old := h.window[h.next]; old >= 0 {
+	old := h.window[h.next]
+	if old >= 0 {
 		h.counts[old]--
 	} else {
 		h.filled++
@@ -1218,29 +1246,56 @@ func (h *queryHist) observe(r geom.Rect) {
 	h.window[h.next] = c
 	h.counts[c]++
 	h.next = (h.next + 1) % len(h.window)
+	// The threshold is twice the uniform share, with a small absolute floor
+	// so a near-empty window pins nothing; it moves only while the window
+	// is filling.
+	if t := max(4, 2*h.filled/histCells); t != h.threshold {
+		h.threshold = t
+		for i := range h.counts {
+			h.markHot(int32(i))
+		}
+		return
+	}
+	if old >= 0 {
+		h.markHot(old)
+	}
+	h.markHot(c)
 }
 
-// hot reports whether bounds overlap a histogram cell whose recent-query
-// share is at least twice the uniform share (with a small absolute floor so
-// a near-empty window pins nothing).
-func (h *queryHist) hot(bounds geom.Rect) bool {
-	if !h.haveSp || h.filled < len(h.window)/4 {
+// markHot brings cell c's bit in hotCells up to date with its count.
+func (h *queryHist) markHot(c int32) {
+	if bit := uint64(1) << (c % 64); h.counts[c] > h.threshold {
+		h.hotCells[c/64] |= bit
+	} else {
+		h.hotCells[c/64] &^= bit
+	}
+}
+
+// hot reports whether e's bounds overlap a histogram cell whose
+// recent-query share is at least twice the uniform share.
+func (h *queryHist) hot(e *cacheEntry) bool {
+	if !h.haveSp || h.filled < len(h.window)/4 || h.hotCells == (cellMask{}) {
 		return false
 	}
-	threshold := 2 * h.filled / (h.side * h.side)
-	if threshold < 4 {
-		threshold = 4
+	if e.cellGen != h.gen {
+		e.cells, e.cellGen = h.cellsOf(e.bounds), h.gen
 	}
-	lo := h.cellOf(geom.Point{X: bounds.MinX, Y: bounds.MinY})
-	hi := h.cellOf(geom.Point{X: bounds.MaxX, Y: bounds.MaxY})
-	x0, y0 := int(lo)%h.side, int(lo)/h.side
-	x1, y1 := int(hi)%h.side, int(hi)/h.side
+	m, hc := &e.cells, &h.hotCells
+	return m[0]&hc[0]|m[1]&hc[1]|m[2]&hc[2]|m[3]&hc[3] != 0
+}
+
+// cellsOf returns the cells between the ones holding b's two corners.
+func (h *queryHist) cellsOf(b geom.Rect) (m cellMask) {
+	lo := h.cellOf(geom.Point{X: b.MinX, Y: b.MinY})
+	hi := h.cellOf(geom.Point{X: b.MaxX, Y: b.MaxY})
+	x0, y0 := lo%histSide, lo/histSide
+	x1, y1 := hi%histSide, hi/histSide
+	if x0 > x1 {
+		return m
+	}
+	row := (uint64(1)<<(x1-x0+1) - 1) << x0
 	for y := y0; y <= y1; y++ {
-		for x := x0; x <= x1; x++ {
-			if h.counts[y*h.side+x] > threshold {
-				return true
-			}
-		}
+		m[y/4] |= row << (y % 4 * histSide)
 	}
-	return false
+	return m
 }

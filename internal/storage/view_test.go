@@ -3,6 +3,8 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"unsafe"
@@ -391,6 +393,104 @@ func TestViewRaceSoak(t *testing.T) {
 			}
 			for i := range ids {
 				samePts(t, d.Page(ids[i]).Pts, wantPts[i], "stable page after soak")
+			}
+		})
+	}
+}
+
+// viewStore builds a store holding `pages` single-slot pages that tile
+// the unit square on a 16×16 grid, behind a 64-page cache, and fills the
+// workload window with queries spread evenly over the grid: every cell
+// holds the uniform share, so none is hot and an eviction takes the LRU
+// tail after one hot test — the common case.
+func viewStore(tb testing.TB, pages int, disableMmap bool) (*DiskStore, []PageID) {
+	d, err := CreatePageFile(filepath.Join(tb.TempDir(), "pages"), DiskOptions{
+		SlotCap: 256, CachePages: 64, DisableMmap: disableMmap})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { d.Close() })
+	ids := make([]PageID, pages)
+	for i := range ids {
+		x, y := float64(i%16)/16, float64(i/16%16)/16
+		ids[i] = d.Alloc(somePoints(128, int64(i)), geom.Rect{MinX: x, MinY: y, MaxX: x + 1.0/16, MaxY: y + 1.0/16})
+	}
+	d.Alloc(nil, geom.Rect{MaxX: 1, MaxY: 1}) // the space is the unit square
+	for i := 0; i < 1024; i++ {
+		x, y := (float64(i%16)+0.5)/16, (float64(i/16%16)+0.5)/16
+		d.ObserveQuery(geom.Rect{MinX: x - 0.01, MinY: y - 0.01, MaxX: x + 0.01, MaxY: y + 0.01})
+	}
+	return d, ids
+}
+
+// BenchmarkDiskView times one View and Release on each of the disk store's
+// read paths: a cache hit, a mapped miss that evicts, and a pread miss that
+// evicts. The misses cycle through twice the cache's pages, so every View
+// faults (misses/op reports it).
+func BenchmarkDiskView(b *testing.B) {
+	cases := []struct {
+		name        string
+		pages       int
+		disableMmap bool
+	}{{"hit", 16, false}, {"mapped-miss", 128, false}, {"pread-miss", 128, true}}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			if !c.disableMmap && !mmapSupported {
+				b.Skip("mmap unsupported on this platform")
+			}
+			d, ids := viewStore(b, c.pages, c.disableMmap)
+			for _, id := range ids { // the hit case's pages are resident
+				v := d.View(id)
+				v.Release()
+			}
+			before := d.CacheStats().Misses
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v := d.View(ids[i%len(ids)])
+				v.Release()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(d.CacheStats().Misses-before)/float64(b.N), "misses/op")
+		})
+	}
+}
+
+// TestViewAllocs holds the disk read path's allocations: a hit allocates
+// nothing, a mapped miss at most its cache entry.
+func TestViewAllocs(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("the race detector's instrumentation allocates")
+			}
+		}
+	}
+	for _, mode := range readModes(t) {
+		t.Run(mode.name, func(t *testing.T) {
+			d, ids := viewStore(t, 128, mode.disableMmap)
+			v := d.View(ids[0])
+			v.Release()
+			if n := testing.AllocsPerRun(100, func() {
+				v := d.View(ids[0])
+				v.Release()
+			}); n != 0 {
+				t.Errorf("a hit allocates %v times, want 0", n)
+			}
+			if mode.disableMmap {
+				return // a pread miss decodes a private copy
+			}
+			next, before := 1, d.CacheStats().Misses
+			n := testing.AllocsPerRun(100, func() {
+				v := d.View(ids[next%len(ids)])
+				next++
+				v.Release()
+			})
+			if misses := d.CacheStats().Misses - before; misses != 101 {
+				t.Fatalf("%d of 101 Views missed; the test must fault every time", misses)
+			}
+			if n > 1 {
+				t.Errorf("a mapped miss allocates %v times, want at most 1", n)
 			}
 		})
 	}

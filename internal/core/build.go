@@ -2,7 +2,7 @@ package core
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 
 	"github.com/wazi-index/wazi/internal/geom"
 	"github.com/wazi-index/wazi/internal/storage"
@@ -64,9 +64,18 @@ func buildMedian(st storage.PageStore, pts []geom.Point, cell geom.Rect, leafSiz
 
 // newLeaf creates a leaf node body over pts with the given cell as its
 // bounding rectangle, allocating the data page in the index's store (which
-// copies pts).
+// copies pts). It reorders pts, which every caller owns, into the page's
+// run, the points inside cell in geom.CmpXY order, and the tail of the rest.
 func newLeaf(st storage.PageStore, cell geom.Rect, pts []geom.Point) *Leaf {
-	return &Leaf{bounds: cell, pid: st.Alloc(pts, cell), n: len(pts)}
+	run := 0
+	for i, p := range pts {
+		if cell.Contains(p) {
+			pts[run], pts[i] = p, pts[run]
+			run++
+		}
+	}
+	slices.SortFunc(pts[:run], geom.CmpXY)
+	return &Leaf{bounds: cell, pid: st.Alloc(pts, cell), n: len(pts), sorted: run}
 }
 
 // partition splits pts into the four quadrants around split, using the same
@@ -103,18 +112,26 @@ func degenerate(parts [4][]geom.Point, total int) bool {
 }
 
 // medianSplit returns the split point at the upper median of pts on each
-// axis. buf is the selection's scratch, at least len(pts) long; builders
+// axis, over the points without a NaN coordinate (the origin if there are
+// none). buf is the selection's scratch, at least len(pts) long; builders
 // size one at the root and pass it down, since every cell of a build asks.
 func medianSplit(pts []geom.Point, buf []float64) geom.Point {
-	buf = buf[:len(pts)]
-	for i, p := range pts {
-		buf[i] = p.X
+	xs := buf[:0]
+	for _, p := range pts {
+		if p == p {
+			xs = append(xs, p.X)
+		}
 	}
-	x := quickMedian(buf)
-	for i, p := range pts {
-		buf[i] = p.Y
+	if len(xs) == 0 {
+		return geom.Point{}
 	}
-	return geom.Point{X: x, Y: quickMedian(buf)}
+	x, ys := quickMedian(xs), buf[:0]
+	for _, p := range pts {
+		if p == p {
+			ys = append(ys, p.Y)
+		}
+	}
+	return geom.Point{X: x, Y: quickMedian(ys)}
 }
 
 // quickMedian selects the element at index len/2 in expected linear time.
@@ -191,12 +208,6 @@ func (z *ZIndex) rebuildLeafList() {
 		}
 	}
 	walk(z.root)
-}
-
-// sortByOrd is a test helper ordering leaves by ord; kept here so tests in
-// other files can reuse it.
-func sortLeaves(ls []*Leaf) {
-	sort.Slice(ls, func(i, j int) bool { return ls[i].ord < ls[j].ord })
 }
 
 // uniformSample draws a point uniformly at random from r.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"github.com/wazi-index/wazi/internal/geom"
 )
@@ -29,9 +30,10 @@ func (z *ZIndex) KNNAppend(dst []geom.Point, q geom.Point, k int) []geom.Point {
 		return dst
 	}
 	if k >= z.count && q.Finite() {
-		// Every point qualifies: one leaf walk instead of windows.
+		// Every answerable point qualifies: one leaf walk, not windows.
 		base := len(dst)
-		dst = z.PointsAppend(dst)
+		all := z.PointsAppend(dst)
+		dst = all[:base+len(slices.DeleteFunc(all[base:], func(p geom.Point) bool { return p != p }))]
 		geom.SortByDistance(dst[base:], q)
 		return dst
 	}

@@ -22,8 +22,8 @@ import (
 //   - attached (version 2): leaf records carry PageIDs into an external
 //     page store (the disk backend's page file). Written by SaveAttached,
 //     restored by LoadWithStore over a store adopted with
-//     storage.OpenPageFile — the warm-start path that never rewrites or
-//     re-reads the data pages.
+//     storage.OpenPageFile — the warm-start path that never rewrites the
+//     data pages and reads each once, to measure its sorted run.
 
 // Snapshot format versions.
 const (
@@ -231,9 +231,26 @@ func LoadWithStore(r io.Reader, st storage.PageStore) (*ZIndex, error) {
 		}
 		seen[l.pid] = true
 		total += l.n
+		if attached {
+			v := st.View(l.pid)
+			l.sorted = runLen(v.Pts, l.bounds)
+			v.Release()
+		}
 	}
 	if total != z.count {
 		return nil, fmt.Errorf("core: snapshot count %d disagrees with stored points %d", z.count, total)
 	}
 	return z, nil
+}
+
+// runLen returns the length of the longest prefix of pts inside cell and in
+// geom.CmpXY order: an attached leaf's run, measured rather than trusted, so
+// a page file written in any order still answers exactly.
+func runLen(pts []geom.Point, cell geom.Rect) int {
+	for i, p := range pts {
+		if !cell.Contains(p) || i > 0 && geom.CmpXY(pts[i-1], p) > 0 {
+			return i
+		}
+	}
+	return len(pts)
 }

@@ -219,11 +219,48 @@ func (z *ZIndex) RangeQueryAppend(dst []geom.Point, r geom.Rect) []geom.Point {
 		// backend this scans the page's bytes in place (block cache or file
 		// mapping) without decoding a copy.
 		v := z.store.View(p.pid)
-		dst = v.Filter(r, dst)
+		dst = p.appendInside(dst, v.Pts, r)
 		v.Release()
 	}
 	d.ResultPoints += int64(len(dst) - before)
 	return dst
+}
+
+// slab is the one per-leaf filter of the range paths: the part of leaf l's
+// run (pts[:l.sorted] of its page pts) with X in [r.MinX, r.MaxX], cut only
+// on a side where the cell sticks out past r, and whether all of it lies
+// inside r, as it does when r spans the cell in Y.
+func (l *Leaf) slab(pts []geom.Point, r geom.Rect) (s []geom.Point, all bool) {
+	s = pts[:l.sorted]
+	if l.bounds.MinX < r.MinX {
+		s = s[geom.LowerX(s, r.MinX):]
+	}
+	if l.bounds.MaxX > r.MaxX {
+		s = s[:geom.UpperX(s, r.MaxX)]
+	}
+	return s, r.MinY <= l.bounds.MinY && l.bounds.MaxY <= r.MaxY
+}
+
+// appendInside appends the points of leaf l's page pts inside r to dst: the
+// slab, bulk-copied when r spans the cell in Y, then the tail.
+func (l *Leaf) appendInside(dst, pts []geom.Point, r geom.Rect) []geom.Point {
+	if s, all := l.slab(pts, r); all {
+		dst = append(dst, s...)
+	} else {
+		dst = geom.AppendInside(dst, s, r)
+	}
+	return geom.AppendInside(dst, pts[l.sorted:], r)
+}
+
+// countInside is appendInside as a count; it reads no point of a slab r
+// spans in Y.
+func (l *Leaf) countInside(pts []geom.Point, r geom.Rect) int {
+	s, all := l.slab(pts, r)
+	n := len(s)
+	if !all {
+		n = geom.CountInside(s, r)
+	}
+	return n + geom.CountInside(pts[l.sorted:], r)
 }
 
 // followLookahead picks, among the criteria disqualifying p for query r,
@@ -292,7 +329,7 @@ func (z *ZIndex) RangeQueryPhased(r geom.Rect) (pts []geom.Point, projection, sc
 		d.PagesScanned++
 		d.PointsScanned += int64(p.n)
 		v := z.store.View(p.pid)
-		pts = v.Filter(r, pts)
+		pts = p.appendInside(pts, v.Pts, r)
 		v.Release()
 	}
 	scan = time.Since(start)
@@ -317,7 +354,7 @@ func (z *ZIndex) RangeCount(r geom.Rect) int {
 		d.PagesScanned++
 		d.PointsScanned += int64(p.n)
 		v := z.store.View(p.pid)
-		count += geom.CountInside(v.Pts, r)
+		count += p.countInside(v.Pts, r)
 		v.Release()
 	}
 	d.ResultPoints += int64(count)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"github.com/wazi-index/wazi/internal/geom"
 )
 
@@ -15,7 +17,7 @@ import (
 // Insert adds p to the index. Points outside the current data-space bounds
 // (or outside the cells along the descent path, which can lag behind the
 // bounds after earlier out-of-domain inserts) are accommodated by growing
-// the affected cells.
+// the affected cells; a point with a NaN coordinate grows none.
 func (z *ZIndex) Insert(p geom.Point) {
 	z.stats.Inserts++
 	// Bounds and cells are extended only when p falls outside them: the
@@ -23,12 +25,13 @@ func (z *ZIndex) Insert(p geom.Point) {
 	// at +0 stays +0 when −0 is inserted on it, where an unconditional
 	// ExtendPoint would rewrite it to −0; every comparison treats the two
 	// as equal.)
-	if !z.bounds.Contains(p) {
+	grow := p == p
+	if grow && !z.bounds.Contains(p) {
 		z.bounds = z.bounds.ExtendPoint(p)
 	}
 	n := z.root
 	for {
-		if !n.cell.Contains(p) {
+		if grow && !n.cell.Contains(p) {
 			n.cell = n.cell.ExtendPoint(p)
 		}
 		if n.leaf != nil {
@@ -48,7 +51,7 @@ func (z *ZIndex) Insert(p geom.Point) {
 	}
 	l := n.leaf
 	grew := false
-	if !l.bounds.Contains(p) {
+	if grow && !l.bounds.Contains(p) {
 		l.bounds = l.bounds.ExtendPoint(p)
 		grew = true
 	}
@@ -118,12 +121,22 @@ func (z *ZIndex) Delete(p geom.Point) bool {
 	if n == nil {
 		return false
 	}
-	pg := z.store.Page(n.leaf.pid)
-	if !pg.Remove(p) {
+	l := n.leaf
+	pg := z.store.Page(l.pid)
+	i := slices.Index(pg.Pts, p)
+	if i < 0 {
 		return false
 	}
-	z.store.Update(n.leaf.pid, pg.Pts, n.leaf.bounds)
-	n.leaf.n--
+	last := len(pg.Pts) - 1
+	if i < l.sorted {
+		l.sorted-- // the run keeps its order, and the tail shifts with it
+		copy(pg.Pts[i:], pg.Pts[i+1:])
+	} else {
+		pg.Pts[i] = pg.Pts[last]
+	}
+	pg.Pts = pg.Pts[:last]
+	z.store.Update(l.pid, pg.Pts, l.bounds)
+	l.n--
 	z.count--
 	if parent != nil {
 		z.maybeMerge(parent)

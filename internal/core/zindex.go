@@ -74,6 +74,10 @@ type node struct {
 // Leaf is a leaf of the Z-index: a bounding rectangle, a data page, the
 // doubly-linked leaf list (§3), and the four look-ahead pointers (§5.1).
 //
+// The page is a sorted run plus a tail: its first sorted points lie inside
+// the bounds in geom.CmpXY order (Leaf.slab searches them), and the rest are
+// later inserts in arrival order and points with a NaN coordinate.
+//
 // The bounding rectangle is the leaf's cell (the region of space the leaf is
 // responsible for) rather than the tight MBR of its points. This makes the
 // rectangle immutable under inserts into the cell, which keeps previously
@@ -86,7 +90,7 @@ type Leaf struct {
 	// caches its point count so pure projection work (counting, cost
 	// evaluation) never faults a page in from disk.
 	pid        storage.PageID
-	n          int
+	n, sorted  int
 	prev, next *Leaf
 	ord        int
 	la         [4]*Leaf // look-ahead pointers, indexed by criterion
@@ -395,7 +399,7 @@ func (z *ZIndex) checkInvariants() error {
 				return fmt.Errorf("leaf count cache %d disagrees with page length %d", n.leaf.n, pg.Len())
 			}
 			for _, p := range pg.Pts {
-				if !n.leaf.bounds.Contains(p) {
+				if p == p && !n.leaf.bounds.Contains(p) {
 					return fmt.Errorf("point %v outside leaf bounds %v", p, n.leaf.bounds)
 				}
 			}

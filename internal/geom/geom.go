@@ -52,15 +52,18 @@ func NewRect(a, b Point) Rect {
 	}
 }
 
-// RectFromPoints returns the minimum bounding rectangle of pts.
-// It panics if pts is empty; bounding an empty set has no meaningful answer.
+// RectFromPoints returns the minimum bounding rectangle of pts less those with
+// a NaN coordinate: the empty rectangle [+Inf, −Inf]², which ExtendPoint grows
+// from, if none is left. It panics if pts is empty.
 func RectFromPoints(pts []Point) Rect {
 	if len(pts) == 0 {
 		panic("geom: RectFromPoints on empty slice")
 	}
-	r := Rect{MinX: pts[0].X, MinY: pts[0].Y, MaxX: pts[0].X, MaxY: pts[0].Y}
-	for _, p := range pts[1:] {
-		r = r.ExtendPoint(p)
+	r := Rect{MinX: math.Inf(1), MinY: math.Inf(1), MaxX: math.Inf(-1), MaxY: math.Inf(-1)}
+	for _, p := range pts {
+		if p == p {
+			r = r.ExtendPoint(p)
+		}
 	}
 	return r
 }
@@ -147,6 +150,42 @@ func b2i(b bool) int {
 	return i
 }
 
+// CmpXY orders points by X, then Y, each like cmp.Compare but with NaN after
+// every number instead of before: a NaN fails both < and <=, so only at the
+// end of the order does it keep the searches of LowerX and UpperX monotone.
+func CmpXY(a, b Point) int {
+	if c := cmpNaNLast(a.X, b.X); c != 0 {
+		return c
+	}
+	return cmpNaNLast(a.Y, b.Y)
+}
+
+// cmpNaNLast is cmp.Compare with NaN last, and with no branch: a NaN fails
+// both < and >, so the last two terms alone order it.
+func cmpNaNLast(a, b float64) int {
+	return b2i(a > b) - b2i(a < b) + b2i(a != a) - b2i(b != b)
+}
+
+// LowerX returns how many entries of s, sorted under CmpXY, have X < x.
+// Each halving step adds the half masked by the compare's 0/1, as in
+// AppendInside, so a search carries no data-dependent branch.
+func LowerX(s []Point, x float64) int {
+	base := 0
+	for n := len(s); n > 1; n -= n / 2 {
+		base += n / 2 & -b2i(s[base+n/2].X < x)
+	}
+	return base + b2i(len(s) > 0 && s[base].X < x)
+}
+
+// UpperX returns how many entries of s, sorted under CmpXY, have X <= x.
+func UpperX(s []Point, x float64) int {
+	base := 0
+	for n := len(s); n > 1; n -= n / 2 {
+		base += n / 2 & -b2i(s[base+n/2].X <= x)
+	}
+	return base + b2i(len(s) > 0 && s[base].X <= x)
+}
+
 // ContainsRect reports whether s lies entirely within r.
 func (r Rect) ContainsRect(s Rect) bool {
 	return s.MinX >= r.MinX && s.MaxX <= r.MaxX && s.MinY >= r.MinY && s.MaxY <= r.MaxY
@@ -187,10 +226,6 @@ func (r Rect) ExtendPoint(p Point) Rect {
 		MaxY: math.Max(r.MaxY, p.Y),
 	}
 }
-
-// Clip returns r clipped to bounds. The result is invalid when r lies
-// entirely outside bounds.
-func (r Rect) Clip(bounds Rect) Rect { return r.Intersect(bounds) }
 
 // OverlapArea returns the area shared by r and s.
 func (r Rect) OverlapArea(s Rect) float64 { return r.Intersect(s).Area() }

@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -74,6 +75,14 @@ func TestRectFromPoints(t *testing.T) {
 		if !r.Contains(p) {
 			t.Errorf("MBR must contain %v", p)
 		}
+	}
+	nan := math.NaN()
+	if got := RectFromPoints(append(pts, Point{nan, 0}, Point{0, nan})); got != want {
+		t.Errorf("RectFromPoints with NaN points = %v, want %v", got, want)
+	}
+	empty := RectFromPoints([]Point{{nan, nan}})
+	if empty.Contains(Point{}) || empty.ExtendPoint(Point{1, 2}) != (Rect{1, 2, 1, 2}) {
+		t.Errorf("RectFromPoints of NaN points only = %v, want the empty rectangle", empty)
 	}
 	defer func() {
 		if recover() == nil {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 )
 
@@ -104,6 +105,47 @@ func FuzzInsideKernel(f *testing.F) {
 		}
 		if n := CountInside(pts, r); n != len(got)-len(head) {
 			t.Fatalf("CountInside(%v) = %d, AppendInside appended %d", r, n, len(got)-len(head))
+		}
+	})
+}
+
+// FuzzSlab holds LowerX and UpperX to sort.Search on arbitrary bit patterns
+// (ties, −0 and +0, ±Inf, NaN payloads) sorted under CmpXY, and checks that
+// CmpXY is antisymmetric and that each search counts exactly the entries
+// below or at x.
+func FuzzSlab(f *testing.F) {
+	f.Add([]byte{11, 3, 4, 3, 11, 12, 4, 0, 3, 12, 11, 0, 0, 1})      // ties, ±0
+	f.Add([]byte{0, 0, 1, 2, 0, 11, 2, 1, 11, 0, 12, 12, 1, 2, 0, 1}) // NaN, ±Inf
+	f.Add(append([]byte{0xff, 1, 0, 0, 0, 0, 0, 0xf8, 0x7f, 9, 0xff, 0, 0, 0, 0, 0, 0, 0x80, 0}, 12, 3))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		v := fuzzFloats(data)
+		if len(v) == 0 {
+			return
+		}
+		x, pts := v[0], make([]Point, 0, len(v)/2)
+		for i := 1; i+1 < len(v); i += 2 {
+			pts = append(pts, Point{X: v[i], Y: v[i+1]})
+		}
+		for i := range pts {
+			for j := range pts {
+				if a, b := CmpXY(pts[i], pts[j]), CmpXY(pts[j], pts[i]); a != -b {
+					t.Fatalf("CmpXY(%v, %v) = %d but CmpXY(%v, %v) = %d", pts[i], pts[j], a, pts[j], pts[i], b)
+				}
+			}
+		}
+		slices.SortFunc(pts, CmpXY)
+		below, atOrBelow := 0, 0
+		for _, p := range pts {
+			below += b2i(p.X < x)
+			atOrBelow += b2i(p.X <= x)
+		}
+		lo := sort.Search(len(pts), func(i int) bool { return !(pts[i].X < x) })
+		hi := sort.Search(len(pts), func(i int) bool { return !(pts[i].X <= x) })
+		if got := LowerX(pts, x); got != lo || got != below {
+			t.Fatalf("LowerX(%v, %v) = %d, sort.Search %d, count %d", pts, x, got, lo, below)
+		}
+		if got := UpperX(pts, x); got != hi || got != atOrBelow {
+			t.Fatalf("UpperX(%v, %v) = %d, sort.Search %d, count %d", pts, x, got, hi, atOrBelow)
 		}
 	})
 }

@@ -53,13 +53,6 @@ func (v *PageView) Release() {
 	v.Pts = nil
 }
 
-// Filter appends to dst the viewed points that fall inside r and returns
-// the extended slice — the borrowed-view twin of Page.Filter, through the
-// same geom.AppendInside kernel.
-func (v *PageView) Filter(r geom.Rect, dst []geom.Point) []geom.Point {
-	return geom.AppendInside(dst, v.Pts, r)
-}
-
 // Contains reports whether the viewed page stores a point equal to pt.
 func (v *PageView) Contains(pt geom.Point) bool {
 	for _, q := range v.Pts {
@@ -82,7 +75,7 @@ func (v *PageView) Contains(pt geom.Point) bool {
 //     from many goroutines at once.
 //   - The *Page returned by Page is owned by the store. Readers must not
 //     mutate it; writers may mutate it only as staging for an immediate
-//     Update of the same id (the pattern update paths use for Remove).
+//     Update of the same id (the pattern update paths use for deletes).
 //   - A disk-backed store reports unrecoverable I/O failures on an already
 //     validated file by panicking — query paths deliberately have no error
 //     channel, mirroring how mmap-based stores surface torn files. All

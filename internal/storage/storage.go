@@ -41,19 +41,6 @@ func (p *Page) Contains(pt geom.Point) bool {
 	return false
 }
 
-// Remove deletes one occurrence of pt from the page, returning whether a
-// point was removed.
-func (p *Page) Remove(pt geom.Point) bool {
-	for i, q := range p.Pts {
-		if q == pt {
-			p.Pts[i] = p.Pts[len(p.Pts)-1]
-			p.Pts = p.Pts[:len(p.Pts)-1]
-			return true
-		}
-	}
-	return false
-}
-
 // Bytes returns the approximate in-memory footprint of the page.
 func (p *Page) Bytes() int64 {
 	return int64(cap(p.Pts))*16 + 24 // 16 bytes per point + slice header

@@ -21,7 +21,7 @@ func TestPageFilter(t *testing.T) {
 	}
 }
 
-func TestPageContainsRemove(t *testing.T) {
+func TestPageContains(t *testing.T) {
 	p := Page{Pts: []geom.Point{{X: 1, Y: 2}, {X: 3, Y: 4}, {X: 1, Y: 2}}}
 	if !p.Contains(geom.Point{X: 1, Y: 2}) {
 		t.Error("Contains failed")
@@ -29,17 +29,8 @@ func TestPageContainsRemove(t *testing.T) {
 	if p.Contains(geom.Point{X: 9, Y: 9}) {
 		t.Error("Contains false positive")
 	}
-	if !p.Remove(geom.Point{X: 1, Y: 2}) {
-		t.Error("Remove failed")
-	}
-	if p.Len() != 2 {
-		t.Errorf("Len after remove = %d", p.Len())
-	}
-	if !p.Contains(geom.Point{X: 1, Y: 2}) {
-		t.Error("only one duplicate should be removed")
-	}
-	if p.Remove(geom.Point{X: 9, Y: 9}) {
-		t.Error("Remove of absent point should report false")
+	if p.Len() != 3 {
+		t.Errorf("Len = %d", p.Len())
 	}
 }
 

@@ -22,9 +22,9 @@ import (
 // points, so a lookup scans at most deltaTail−1 after its binary search.
 const deltaTail = 8
 
-// deltaRun is a multiset of points: pts[:sorted] in cmpXY order, which keeps
-// the < and <= predicates of the searches monotone, then a tail in arrival
-// order.
+// deltaRun is a multiset of points: pts[:sorted] in geom.CmpXY order, which
+// keeps the < and <= predicates of the searches monotone, then a tail in
+// arrival order.
 //
 // Snapshots share a run's backing array. add appends past the end of the
 // newest snapshot's run, which no older snapshot reads; that is safe because
@@ -47,10 +47,10 @@ func (d deltaRun) add(p Point) deltaRun {
 	}
 	var buf [deltaTail]Point
 	tail := append(buf[:0], d.pts[d.sorted:]...)
-	slices.SortFunc(tail, cmpXY)
+	slices.SortFunc(tail, geom.CmpXY)
 	out, head := make([]Point, 0, len(d.pts)+deltaTail), d.pts[:d.sorted]
 	for _, q := range tail {
-		k, _ := slices.BinarySearchFunc(head, q, cmpXY)
+		k, _ := slices.BinarySearchFunc(head, q, geom.CmpXY)
 		out, head = append(append(out, head[:k]...), q), head[k:]
 	}
 	return deltaRun{pts: append(out, head...), sorted: len(d.pts)}
@@ -65,13 +65,16 @@ func (d deltaRun) without(p Point) (deltaRun, bool) {
 	}
 	out := make([]Point, 0, len(d.pts)-1+deltaTail)
 	out = append(append(out, d.pts[:j]...), d.pts[j+1:]...)
-	return deltaRun{pts: out, sorted: d.sorted - b2i(j < d.sorted)}, true
+	if j < d.sorted {
+		d.sorted--
+	}
+	return deltaRun{pts: out, sorted: d.sorted}, true
 }
 
 // count returns how many entries equal p, and the index of one of them.
 func (d deltaRun) count(p Point) (n, at int) {
 	s := d.pts[:d.sorted]
-	for i := lowerX(s, p.X); i < len(s) && s[i].X == p.X; i++ {
+	for i := geom.LowerX(s, p.X); i < len(s) && s[i].X == p.X; i++ {
 		if s[i] == p {
 			n, at = n+1, i
 		}
@@ -88,8 +91,8 @@ func (d deltaRun) count(p Point) (n, at int) {
 // only ones of the prefix that can lie inside r.
 func (d deltaRun) slab(r Rect) []Point {
 	s := d.pts[:d.sorted]
-	s = s[lowerX(s, r.MinX):]
-	return s[:upperX(s, r.MaxX)]
+	s = s[geom.LowerX(s, r.MinX):]
+	return s[:geom.UpperX(s, r.MaxX)]
 }
 
 // appendInside appends the entries inside r to dst.
@@ -195,8 +198,8 @@ func (ss *shardSnap) buffer(p Point) {
 // withDelta gives ss, a state no reader sees yet, ins as its insert run
 // and outs as its tombstone run, and grows its MBRs over ins.
 func (ss *shardSnap) withDelta(ins, outs []Point) {
-	slices.SortFunc(ins, cmpXY)
-	slices.SortFunc(outs, cmpXY)
+	slices.SortFunc(ins, geom.CmpXY)
+	slices.SortFunc(outs, geom.CmpXY)
 	ss.extra = deltaRun{pts: ins, sorted: len(ins)}
 	ss.dead = deltaRun{pts: outs, sorted: len(outs)}
 	for k, p := range ins {
@@ -219,10 +222,10 @@ func foldable(pts []Point) (fold, rest []Point) {
 	return fold, rest
 }
 
-// cmpBits refines cmpXY into a total order on exact bits, which tells −0
+// cmpBits refines geom.CmpXY into a total order on exact bits, which tells −0
 // from +0 and one NaN from another.
 func cmpBits(a, b Point) int {
-	return cmp.Or(cmpXY(a, b), cmp.Compare(math.Float64bits(a.X), math.Float64bits(b.X)),
+	return cmp.Or(geom.CmpXY(a, b), cmp.Compare(math.Float64bits(a.X), math.Float64bits(b.X)),
 		cmp.Compare(math.Float64bits(a.Y), math.Float64bits(b.Y)))
 }
 
@@ -231,49 +234,6 @@ func cmpBits(a, b Point) int {
 func pointBit(p Point) uint64 {
 	h := math.Float64bits(p.X+0)*0x9e3779b97f4a7c15 ^ math.Float64bits(p.Y+0)*0xc2b2ae3d27d4eb4f
 	return 1 << (h >> 58)
-}
-
-// lowerX returns how many entries of s, sorted under cmpXY, have X < x.
-// Each halving step adds the half masked by the compare's 0/1 (a SETcc, as
-// in geom.AppendInside), so a search carries no data-dependent branch.
-func lowerX(s []Point, x float64) int {
-	base := 0
-	for n := len(s); n > 1; n -= n / 2 {
-		base += n / 2 & -b2i(s[base+n/2].X < x)
-	}
-	return base + b2i(len(s) > 0 && s[base].X < x)
-}
-
-// upperX returns how many entries of s, sorted under cmpXY, have X <= x.
-func upperX(s []Point, x float64) int {
-	base := 0
-	for n := len(s); n > 1; n -= n / 2 {
-		base += n / 2 & -b2i(s[base+n/2].X <= x)
-	}
-	return base + b2i(len(s) > 0 && s[base].X <= x)
-}
-
-// b2i converts b to 0 or 1; the compiler lowers it to a SETcc, not a branch.
-func b2i(b bool) int {
-	var i int
-	if b {
-		i = 1
-	}
-	return i
-}
-
-// cmpXY orders points by X, then Y, each like cmp.Compare but with NaN after
-// every number instead of before: a NaN fails both < and <=, so only at the
-// end of the order does it keep their searches monotone.
-func cmpXY(a, b Point) int {
-	return cmp.Or(cmpNaNLast(a.X, b.X), cmpNaNLast(a.Y, b.Y))
-}
-
-func cmpNaNLast(a, b float64) int {
-	if a != a || b != b {
-		return b2i(a != a) - b2i(b != b)
-	}
-	return cmp.Compare(a, b)
 }
 
 // everywhere contains every point without a NaN coordinate.

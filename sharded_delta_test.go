@@ -306,7 +306,7 @@ func TestShardedNonFiniteNeverIndexed(t *testing.T) {
 		if !s.rebuildShard(s.ShardOf(p)) {
 			t.Fatalf("%v: the rebuild did not swap", p)
 		}
-		want := len(pts) + b2i(p.X == p.X)
+		want := len(pts) + geom.CountInside([]Point{p}, everywhere)
 		if n, l := s.RangeCount(everywhere), s.Len(); n != want || l != len(pts)+1 {
 			t.Fatalf("%v: after a rebuild, RangeCount(everywhere) = %d and Len %d; want %d and %d", p, n, l, want, len(pts)+1)
 		}
@@ -391,7 +391,7 @@ func TestShardDeltaViewIsolation(t *testing.T) {
 		}
 	}
 	// The first View's tail arrives in descending X, so sorting it would show.
-	slices.SortFunc(fresh[8:11], func(a, b Point) int { return cmpXY(b, a) })
+	slices.SortFunc(fresh[8:11], func(a, b Point) int { return geom.CmpXY(b, a) })
 	for _, p := range fresh[:11] {
 		s.Insert(p)
 	}

@@ -10,6 +10,7 @@ import (
 	"slices"
 
 	"github.com/wazi-index/wazi/internal/core"
+	"github.com/wazi-index/wazi/internal/geom"
 	"github.com/wazi-index/wazi/internal/shard"
 	"github.com/wazi-index/wazi/internal/storage"
 	"github.com/wazi-index/wazi/internal/zorder"
@@ -98,7 +99,7 @@ type deadRecord struct {
 // deadRecords tallies a tombstone run into records, one per distinct point,
 // in sorted order: one state always encodes to the same bytes.
 func deadRecords(dead deltaRun) (out []deadRecord) {
-	for _, p := range slices.SortedFunc(slices.Values(dead.pts), cmpXY) {
+	for _, p := range slices.SortedFunc(slices.Values(dead.pts), geom.CmpXY) {
 		if k := len(out) - 1; k >= 0 && out[k].P == p {
 			out[k].N++
 		} else {
@@ -112,7 +113,7 @@ func deadRecords(dead deltaRun) (out []deadRecord) {
 // writes: a count below one, a point recorded twice, or more copies than
 // idx holds (which also bounds the run by the index's size).
 func loadDead(recs []deadRecord, idx *Index) (dead deltaRun, err error) {
-	slices.SortFunc(recs, func(a, b deadRecord) int { return cmpXY(a.P, b.P) })
+	slices.SortFunc(recs, func(a, b deadRecord) int { return geom.CmpXY(a.P, b.P) })
 	for k, rec := range recs {
 		switch {
 		case rec.N < 1:
@@ -179,7 +180,7 @@ func (s *Sharded) Save(w io.Writer) error {
 	for i, ss := range snap.shards {
 		rec := shardedShardRecord{
 			Empty:    ss.empty,
-			Extra:    slices.SortedFunc(slices.Values(ss.extra.pts), cmpXY),
+			Extra:    slices.SortedFunc(slices.Values(ss.extra.pts), geom.CmpXY),
 			Dead:     deadRecords(ss.dead),
 			Bounds:   ss.bounds,
 			Recent:   recents[i],

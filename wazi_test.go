@@ -2,7 +2,9 @@ package wazi_test
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -300,5 +302,87 @@ func TestWorkloadCostExposed(t *testing.T) {
 	cw := aware.WorkloadCost(qs, 0.1)
 	if cw > cb {
 		t.Errorf("workload-aware cost %v exceeds base %v", cw, cb)
+	}
+}
+
+// TestIndexNaNPointStoredNotServed gives Index Sharded's contract for a
+// point with a NaN coordinate: it is stored and counted, but no read returns
+// it and it widens no bound. One such point used to make the bounds NaN, and
+// with them every range, point and kNN answer empty. ±Inf points are served.
+func TestIndexNaNPointStoredNotServed(t *testing.T) {
+	nan := math.NaN()
+	pts := testData(3000, 41)
+	qs := testWorkload(100, 42)
+	for _, tc := range []struct {
+		name  string
+		build func() (*wazi.Index, error)
+	}{
+		{"New", func() (*wazi.Index, error) { return wazi.New(append(slices.Clone(pts), wazi.Point{X: 0.5, Y: nan})) }},
+		{"NewWorkloadAware", func() (*wazi.Index, error) {
+			return wazi.NewWorkloadAware(append(slices.Clone(pts), wazi.Point{X: nan, Y: nan}), qs, wazi.WithSeed(3))
+		}},
+		{"Insert", func() (*wazi.Index, error) {
+			idx, err := wazi.New(pts)
+			if err == nil {
+				idx.Insert(wazi.Point{X: nan, Y: 0.5})
+			}
+			return idx, err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			idx, err := tc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(ctx string) {
+				t.Helper()
+				if idx.Len() != len(pts)+1 || len(idx.Points()) != len(pts)+1 {
+					t.Fatalf("%s: Len %d, Points %d, want %d", ctx, idx.Len(), len(idx.Points()), len(pts)+1)
+				}
+				if b := idx.Bounds(); b != b {
+					t.Fatalf("%s: bounds %v", ctx, b)
+				}
+				all := wazi.Rect{MinX: -1e9, MinY: -1e9, MaxX: 1e9, MaxY: 1e9}
+				assertSame(t, idx.RangeQuery(all), pts, ctx+" full range")
+				for _, q := range qs[:20] {
+					assertSame(t, idx.RangeQuery(q), bruteRange(pts, q), ctx+" range")
+					if n := idx.RangeCount(q); n != len(bruteRange(pts, q)) {
+						t.Fatalf("%s: RangeCount %d, want %d", ctx, n, len(bruteRange(pts, q)))
+					}
+				}
+				if !idx.PointQuery(pts[7]) {
+					t.Fatalf("%s: indexed point %v not found", ctx, pts[7])
+				}
+				if got := idx.KNN(pts[7], 5); len(got) != 5 || got[0] != pts[7] {
+					t.Fatalf("%s: KNN = %v", ctx, got)
+				}
+				if got := idx.KNN(pts[7], len(pts)+1); len(got) != len(pts) {
+					t.Fatalf("%s: KNN of every point returned %d, want %d", ctx, len(got), len(pts))
+				}
+			}
+			check("built")
+			var snap bytes.Buffer
+			if err := idx.Save(&snap); err != nil {
+				t.Fatal(err)
+			}
+			if idx, err = wazi.Load(&snap); err != nil {
+				t.Fatal(err)
+			}
+			check("reloaded")
+		})
+	}
+
+	idx, err := wazi.New([]wazi.Point{{X: nan, Y: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inf := wazi.Point{X: math.Inf(1), Y: 2}
+	idx.Insert(inf)
+	idx.Insert(wazi.Point{X: 1, Y: 1})
+	if got := idx.RangeQuery(wazi.Rect{MinX: 0, MinY: 0, MaxX: math.Inf(1), MaxY: 3}); len(got) != 2 || idx.Len() != 3 {
+		t.Fatalf("all-NaN build then inserts: range %v, Len %d", got, idx.Len())
+	}
+	if !idx.PointQuery(inf) || len(idx.KNN(wazi.Point{X: 1, Y: 1}, 3)) != 2 {
+		t.Fatal("an infinite point is no longer served")
 	}
 }

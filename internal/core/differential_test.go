@@ -57,48 +57,40 @@ func TestDifferentialWaZI(t *testing.T) {
 }
 
 // TestDifferentialWaZITinyCache reruns the full differential suite with a
-// one-page block cache — every fault evicts, so borrowed views constantly
-// straddle eviction — in both read modes of the disk store.
+// one-page block cache: every fault evicts, so borrowed views constantly
+// straddle eviction.
 func TestDifferentialWaZITinyCache(t *testing.T) {
-	for _, mode := range []struct {
-		name        string
-		disableMmap bool
-	}{{"mmap", false}, {"pread", true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			dir := t.TempDir()
-			n := 0
-			opts := func() core.Options {
-				return core.Options{LeafSize: 64, Seed: 7, ExactCounts: true}
-			}
-			indextest.Differential(t,
-				func(pts []geom.Point, qs []geom.Rect) index.Index {
-					z, err := core.BuildWaZI(pts, qs, opts())
-					if err != nil {
-						panic(err)
-					}
-					return z
-				},
-				func(pts []geom.Point, qs []geom.Rect) index.Index {
-					n++
-					st, err := storage.CreatePageFile(
-						filepath.Join(dir, fmt.Sprintf("tiny-%03d.pages", n)),
-						storage.DiskOptions{SlotCap: 64, CachePages: 1, HistWindow: 128,
-							DisableMmap: mode.disableMmap},
-					)
-					if err != nil {
-						panic(err)
-					}
-					t.Cleanup(func() { st.Close() })
-					o := opts()
-					o.Store = st
-					z, err := core.BuildWaZI(pts, qs, o)
-					if err != nil {
-						panic(err)
-					}
-					return z
-				})
-		})
+	dir := t.TempDir()
+	n := 0
+	opts := func() core.Options {
+		return core.Options{LeafSize: 64, Seed: 7, ExactCounts: true}
 	}
+	indextest.Differential(t,
+		func(pts []geom.Point, qs []geom.Rect) index.Index {
+			z, err := core.BuildWaZI(pts, qs, opts())
+			if err != nil {
+				panic(err)
+			}
+			return z
+		},
+		func(pts []geom.Point, qs []geom.Rect) index.Index {
+			n++
+			st, err := storage.CreatePageFile(
+				filepath.Join(dir, fmt.Sprintf("tiny-%03d.pages", n)),
+				storage.DiskOptions{SlotCap: 64, CachePages: 1, HistWindow: 128},
+			)
+			if err != nil {
+				panic(err)
+			}
+			t.Cleanup(func() { st.Close() })
+			o := opts()
+			o.Store = st
+			z, err := core.BuildWaZI(pts, qs, o)
+			if err != nil {
+				panic(err)
+			}
+			return z
+		})
 }
 
 func TestDifferentialBase(t *testing.T) {

@@ -171,10 +171,6 @@ type Options struct {
 	// StorageCachePages bounds the disk backend's block cache, in pages
 	// (default 1024). Ignored for the RAM-resident backend.
 	StorageCachePages int
-	// StorageDisableMmap forces the disk backend's pread+decode read path
-	// instead of zero-copy mapped views. Ignored for the RAM-resident
-	// backend.
-	StorageDisableMmap bool
 	// ExactCounts replaces the learned estimator — an RFDE forest over the
 	// data, the paper's learned component — with exact per-candidate
 	// counting. Slower to build; used by tests and the estimator ablation.
@@ -242,9 +238,8 @@ func (o *Options) OpenStore() (storage.PageStore, error) {
 	}
 	if o.StoragePath != "" {
 		return storage.CreatePageFile(o.StoragePath, storage.DiskOptions{
-			SlotCap:     o.LeafSize,
-			CachePages:  o.StorageCachePages,
-			DisableMmap: o.StorageDisableMmap,
+			SlotCap:    o.LeafSize,
+			CachePages: o.StorageCachePages,
 		})
 	}
 	return storage.NewMemStore(), nil

@@ -5,7 +5,6 @@ import (
 	"os"
 	"sync"
 
-	"github.com/wazi-index/wazi/internal/storage"
 	"github.com/wazi-index/wazi/internal/wal"
 )
 
@@ -224,60 +223,3 @@ func (f *crashFile) Close() error {
 func (f *crashFile) Name() string { return f.backing.Name() }
 
 var _ wal.FS = (*CrashFS)(nil)
-
-// WrapPageFile wraps an opened page file so its positional I/O counts
-// toward the crash point — the fault-injection seam behind
-// storage.DiskOptions.WrapFile. Reads count too: the page store's fault
-// path is read-driven, and the single-flight regression tests need to kill
-// a fault mid-read. A crashed operation surfaces as the store's ioPanic
-// (reads on a validated file have no error channel); tests recover from it.
-// The wrapper imposes pread mode, so it exercises the decode path.
-func (c *CrashFS) WrapPageFile(f *os.File) storage.PageFile {
-	return &crashPageFile{fs: c, backing: f}
-}
-
-type crashPageFile struct {
-	fs      *CrashFS
-	backing *os.File
-}
-
-func (f *crashPageFile) countOp() error {
-	c := f.fs
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.step()
-}
-
-func (f *crashPageFile) ReadAt(p []byte, off int64) (int, error) {
-	if err := f.countOp(); err != nil {
-		return 0, err
-	}
-	return f.backing.ReadAt(p, off)
-}
-
-func (f *crashPageFile) WriteAt(p []byte, off int64) (int, error) {
-	if err := f.countOp(); err != nil {
-		return 0, err
-	}
-	return f.backing.WriteAt(p, off)
-}
-
-func (f *crashPageFile) Truncate(size int64) error {
-	if err := f.countOp(); err != nil {
-		return err
-	}
-	return f.backing.Truncate(size)
-}
-
-func (f *crashPageFile) Stat() (os.FileInfo, error) { return f.backing.Stat() }
-
-func (f *crashPageFile) Sync() error {
-	if err := f.countOp(); err != nil {
-		return err
-	}
-	return f.backing.Sync()
-}
-
-func (f *crashPageFile) Close() error { return f.backing.Close() }
-
-var _ storage.PageFile = (*crashPageFile)(nil)

@@ -369,12 +369,15 @@ func (rq *request) decode(r *http.Request, v any) bool {
 // and the request's record: the slot is held for the whole request, so
 // MaxInflight bounds every kind of in-flight work and MaxQueue bounds the
 // line behind it, and the record clocks the request from here to finish,
-// which runs on every exit.
+// which runs on every exit. A memory fault on the request's goroutine — a
+// disk-backed page whose mapped file was cut or hit EIO — panics rather
+// than killing the process, so finish answers it like any other panic.
 func (s *Server) opHandler(route int, h func(*request, *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		rq := requestPool.Get().(*request)
 		rq.ResponseWriter, rq.route, rq.code, rq.start = w, route, http.StatusOK, time.Now()
 		defer s.finish(rq, r)
+		defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
 			rq.fail(http.StatusMethodNotAllowed, "%s requires POST", r.URL.Path)
@@ -396,9 +399,10 @@ func (s *Server) opHandler(route int, h func(*request, *http.Request)) http.Hand
 }
 
 // finish is opHandler's deferred end of every request, whatever its status.
-// A panic under the handler (DiskStore raises page-file I/O errors as
-// panics) fails that one request with a 500: the slot is released and the
-// connection and the process keep serving; the phase it interrupted stays in
+// A panic under the handler (DiskStore raises page-file I/O errors and, with
+// opHandler's SetPanicOnFault, mapped read faults as panics) fails that one
+// request with a 500: the slot is released and the connection and the
+// process keep serving; the phase it interrupted stays in
 // unattributed. The record is then folded — total latency into the route's
 // histogram, each phase into its counter, the status into its counter, and
 // the fixed fields into the slow log when the total reaches its threshold —

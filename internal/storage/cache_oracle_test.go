@@ -229,7 +229,7 @@ func (d *DiskStore) residentOrder() []PageID {
 // (16–128, or the default 1024 for 255: only a window longer than 640
 // queries moves the hot threshold); each later byte is one op, its low bits
 // the kind and the rest a selector. It returns the store's final counters.
-func runCachePolicy(t *testing.T, ops []byte, disableMmap bool) CacheStats {
+func runCachePolicy(t *testing.T, ops []byte) CacheStats {
 	cachePages, window := 4, 32
 	if len(ops) >= 2 {
 		cachePages, window = 1+int(ops[0])%16, 16+int(ops[1])%113
@@ -239,7 +239,7 @@ func runCachePolicy(t *testing.T, ops []byte, disableMmap bool) CacheStats {
 		ops = ops[2:]
 	}
 	d, err := CreatePageFile(filepath.Join(t.TempDir(), "policy.pages"), DiskOptions{
-		SlotCap: 4, CachePages: cachePages, HistWindow: window, DisableMmap: disableMmap})
+		SlotCap: 4, CachePages: cachePages, HistWindow: window})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,44 +373,39 @@ func runCachePolicy(t *testing.T, ops []byte, disableMmap bool) CacheStats {
 	return d.CacheStats()
 }
 
-// TestCacheMatchesOracle runs seeded op streams in both read modes over
-// CachePages 1–16 and HistWindow 16–128, then four long streams over the
-// default window.
+// TestCacheMatchesOracle runs seeded op streams over CachePages 1–16 and
+// HistWindow 16–128, then four long streams over the default window.
 func TestCacheMatchesOracle(t *testing.T) {
-	for _, mode := range readModes(t) {
-		t.Run(mode.name, func(t *testing.T) {
-			var total CacheStats
-			for seed := int64(1); seed <= 28; seed++ {
-				rng := rand.New(rand.NewSource(seed))
-				ops := make([]byte, 2+600)
-				if seed > 24 {
-					ops = make([]byte, 2+3000)
-				}
-				rng.Read(ops)
-				if seed > 24 {
-					ops[1] = 255
-				}
-				// Bias a third of the short streams and all long ones toward
-				// queries, so the window fills and hot cells decide evictions.
-				if seed%3 == 0 || seed > 24 {
-					for i := 2; i < len(ops); i += 2 {
-						ops[i] = ops[i]&^7 | 5
-					}
-				}
-				t.Run(fmt.Sprint(seed), func(t *testing.T) {
-					cs := runCachePolicy(t, ops, mode.disableMmap)
-					total.Evictions += cs.Evictions
-					total.HotRetained += cs.HotRetained
-				})
+	var total CacheStats
+	for seed := int64(1); seed <= 28; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ops := make([]byte, 2+600)
+		if seed > 24 {
+			ops = make([]byte, 2+3000)
+		}
+		rng.Read(ops)
+		if seed > 24 {
+			ops[1] = 255
+		}
+		// Bias a third of the short streams and all long ones toward
+		// queries, so the window fills and hot cells decide evictions.
+		if seed%3 == 0 || seed > 24 {
+			for i := 2; i < len(ops); i += 2 {
+				ops[i] = ops[i]&^7 | 5
 			}
-			// The streams must reach the workload-aware half of the policy.
-			if total.Evictions == 0 || total.HotRetained == 0 {
-				t.Fatalf("streams evicted %d pages and retained %d hot ones; both must be positive",
-					total.Evictions, total.HotRetained)
-			}
-			t.Logf("%d evictions, %d hot retentions", total.Evictions, total.HotRetained)
+		}
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			cs := runCachePolicy(t, ops)
+			total.Evictions += cs.Evictions
+			total.HotRetained += cs.HotRetained
 		})
 	}
+	// The streams must reach the workload-aware half of the policy.
+	if total.Evictions == 0 || total.HotRetained == 0 {
+		t.Fatalf("streams evicted %d pages and retained %d hot ones; both must be positive",
+			total.Evictions, total.HotRetained)
+	}
+	t.Logf("%d evictions, %d hot retentions", total.Evictions, total.HotRetained)
 }
 
 // FuzzCachePolicy holds the block cache to the oracle on any op stream.
@@ -418,14 +413,7 @@ func FuzzCachePolicy(f *testing.F) {
 	f.Add([]byte{3, 16, 0, 8, 16, 24, 32, 40, 5, 5, 5, 5, 5, 5, 5, 5, 5, 1, 9, 2, 10, 0, 0, 3, 7, 4, 6, 14})
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 3, 2, 4, 6, 7, 0, 2})
 	f.Add([]byte{15, 112, 0, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0, 5, 2, 2, 2, 2})
-	f.Fuzz(func(t *testing.T, ops []byte) {
-		for _, disableMmap := range []bool{false, true} {
-			if !mmapSupported && !disableMmap {
-				continue
-			}
-			runCachePolicy(t, ops, disableMmap)
-		}
-	})
+	f.Fuzz(func(t *testing.T, ops []byte) { runCachePolicy(t, ops) })
 }
 
 // TestHotMatchesOracle checks the histogram alone, after every query,

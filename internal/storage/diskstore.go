@@ -2,8 +2,8 @@ package storage
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"slices"
@@ -15,19 +15,6 @@ import (
 	"github.com/wazi-index/wazi/internal/obs"
 )
 
-// PageFile is the positional-I/O surface DiskStore drives its page file
-// through. Production stores use *os.File directly; tests inject failing
-// implementations (indextest.CrashFS wraps one) to exercise the panic and
-// single-flight recovery paths on an already validated file.
-type PageFile interface {
-	io.ReaderAt
-	io.WriterAt
-	Truncate(size int64) error
-	Stat() (os.FileInfo, error)
-	Sync() error
-	Close() error
-}
-
 // DiskStore is the disk-resident PageStore: a fixed-slot page file plus an
 // in-memory block cache whose eviction is workload-aware. Pages are chains
 // of fixed-size slots (one slot fits SlotCap points; oversized pages —
@@ -35,14 +22,18 @@ type PageFile interface {
 // freed slots are recycled through an on-file free list, so the file never
 // needs compaction to stay bounded.
 //
-// Reads come in two modes. In mmap mode (the default wherever the platform
-// supports it — see mmapSupported) the file is mapped read-only and shared,
-// and a cache fault serves a borrowed view straight over the mapped bytes:
-// single-slot pages are reinterpreted in place with zero copying and zero
-// point allocations. In pread mode (DisableMmap, unsupported platforms, or
-// injected PageFiles) a fault decodes a private heap copy as before. Both
-// modes share the block cache, so the hit path is identical — and
-// allocation-free — either way.
+// Every read comes from a read-only shared mapping of the file; the
+// descriptor only writes, truncates and syncs. A cache fault serves a
+// borrowed view straight over the mapped bytes: single-slot pages are
+// reinterpreted in place with zero copying and zero point allocations, and
+// a chained page is decoded into a private heap copy. The platform must be a
+// little-endian unix (see mmap_unix.go); elsewhere page files do not open.
+//
+// A mapped read of bytes the file no longer holds (it was truncated under
+// the store) or cannot deliver (EIO) raises SIGBUS. Where the reading
+// goroutine has set debug.SetPanicOnFault, that is a recoverable panic, and
+// the miss path releases the store mutex on the way out, so the store keeps
+// serving its other pages.
 //
 // Borrowed views are kept safe by a recycle guard rather than by copying:
 // every pinned PageView holds a refcount (per cache entry and store-wide),
@@ -66,8 +57,7 @@ type PageFile interface {
 // repository (persist on graceful shutdown, rebuild on hard crash).
 type DiskStore struct {
 	mu      sync.Mutex
-	f       PageFile
-	osf     *os.File // nil when the PageFile is injected (disables mmap)
+	f       *os.File
 	path    string
 	slotCap int
 	slots   int32 // slots physically present in the file
@@ -77,9 +67,9 @@ type DiskStore struct {
 	closed  bool
 
 	// maps are the file's read-only mappings, oldest first; the last one
-	// covers the whole file and serves new views. nil in pread mode.
-	// reaped records that Close already released them (possibly from the
-	// final unpin, after Close found views still pinned).
+	// covers the whole file and serves new views. reaped records that Close
+	// already released them (possibly from the final unpin, after Close
+	// found views still pinned).
 	maps   []*fileMap
 	reaped bool
 
@@ -91,15 +81,8 @@ type DiskStore struct {
 	closing atomic.Bool
 
 	cache blockCache
-	// loading single-flights concurrent faults of the same page in pread
-	// mode: the winner reads from disk outside the mutex, everyone else
-	// waits on its channel. Readers of other pages (hits or faults)
-	// proceed. Mmap-mode faults never leave the mutex (constructing a view
-	// issues no I/O; the kernel pages bytes in lazily when the scan
-	// touches them), so they bypass this map entirely.
-	loading map[PageID]chan struct{}
-	hist    queryHist
-	sink    atomic.Pointer[Stats]
+	hist  queryHist
+	sink  atomic.Pointer[Stats]
 
 	// reads/readNanos count page-file read operations and their summed
 	// latency. They are atomics (not mu-guarded) so traced query paths can
@@ -126,14 +109,6 @@ type DiskOptions struct {
 	// HistWindow is the sliding window of the workload histogram feeding
 	// eviction decisions. Default 1024 queries.
 	HistWindow int
-	// DisableMmap forces the pread+decode read path even where the
-	// platform supports the zero-copy mapping mode.
-	DisableMmap bool
-	// WrapFile, when non-nil, wraps the opened page file before the store
-	// uses it — the fault-injection seam (indextest.CrashFS). An injected
-	// PageFile implies pread mode: the mapping path needs the raw
-	// descriptor and would bypass the wrapper's read accounting anyway.
-	WrapFile func(*os.File) PageFile
 }
 
 func (o *DiskOptions) fill() {
@@ -174,6 +149,9 @@ func (d *DiskStore) slotOff(i int32) int64 {
 	return fileHeaderSize + int64(i)*d.slotSize()
 }
 
+// fileSize is the size of a file holding d.slots slots.
+func (d *DiskStore) fileSize() int64 { return d.slotOff(d.slots) }
+
 // CreatePageFile creates (truncating any previous content) a page file at
 // path and returns an empty store over it.
 func CreatePageFile(path string, o DiskOptions) (*DiskStore, error) {
@@ -189,7 +167,7 @@ func CreatePageFile(path string, o DiskOptions) (*DiskStore, error) {
 	}
 	if err := d.initMmap(); err != nil {
 		d.f.Close()
-		return nil, err
+		return nil, fmt.Errorf("storage: creating page file: %w", err)
 	}
 	return d, nil
 }
@@ -220,67 +198,46 @@ func OpenPageFile(path string, o DiskOptions) (*DiskStore, error) {
 }
 
 func newDiskStore(f *os.File, path string, o DiskOptions) *DiskStore {
-	d := &DiskStore{path: path, slotCap: o.SlotCap, free: -1,
-		loading: make(map[PageID]chan struct{})}
-	if o.WrapFile != nil {
-		d.f = o.WrapFile(f) // injected I/O implies pread mode
-	} else {
-		d.f = f
-		if mmapSupported && !o.DisableMmap {
-			d.osf = f
-		}
-	}
+	d := &DiskStore{f: f, path: path, slotCap: o.SlotCap, free: -1}
 	d.cache.init(o.CachePages)
 	d.hist.init(o.HistWindow)
 	return d
 }
 
-// initMmap creates the initial mapping when the store runs in mmap mode; in
-// pread mode it is a no-op. A mapping failure falls back to pread rather
-// than failing the open: the mapping is an optimization, not a correctness
-// requirement.
+// initMmap creates the initial mapping, sized at twice the file so early
+// growth needs no remap.
 func (d *DiskStore) initMmap() error {
-	if d.osf == nil {
-		return nil
-	}
-	size := fileHeaderSize + int64(d.slots)*d.slotSize()
-	m, err := mapFile(d.osf, size*2)
+	m, err := mapFile(d.f, 2*d.fileSize())
 	if err != nil {
-		d.osf = nil // pread fallback
-		return nil
+		return fmt.Errorf("mapping: %w", err)
 	}
 	d.maps = []*fileMap{m}
 	return nil
 }
 
-// MmapMode reports whether the store serves zero-copy views over a file
-// mapping (false: pread+decode mode).
-func (d *DiskStore) MmapMode() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.osf != nil
+// curMap returns the newest (whole-file) mapping, and panics with a storage
+// error once Close has released the mappings: a read after Close must not
+// touch unmapped memory. Callers hold d.mu.
+func (d *DiskStore) curMap() *fileMap {
+	if d.reaped {
+		d.ioPanic("reading", errors.New("store is closed"))
+	}
+	return d.maps[len(d.maps)-1]
 }
-
-// curMap returns the newest (whole-file) mapping. Callers hold d.mu.
-func (d *DiskStore) curMap() *fileMap { return d.maps[len(d.maps)-1] }
 
 // ensureMapped grows the mapping set to cover the file's current size,
 // called after the file is extended. Old mappings are kept: borrowed views
 // and cached pages alias them, and they remain valid and coherent (the file
-// only ever grows). On failure the store degrades to pread mode for new
-// faults; existing mappings stay serviceable. Callers hold d.mu.
+// only ever grows). A failure to map is an I/O failure of the write that
+// grew the file. Callers hold d.mu.
 func (d *DiskStore) ensureMapped() {
-	if d.osf == nil {
-		return
-	}
-	size := fileHeaderSize + int64(d.slots)*d.slotSize()
+	size := d.fileSize()
 	if d.curMap().covers(0, size) {
 		return
 	}
-	m, err := mapFile(d.osf, size*2)
+	m, err := mapFile(d.f, size*2)
 	if err != nil {
-		d.osf = nil
-		return
+		d.ioPanic("mapping file", err)
 	}
 	d.maps = append(d.maps, m)
 }
@@ -337,7 +294,7 @@ func adoptPageFile(f *os.File, path string, o DiskOptions, askedSlotCap int) (*D
 	if err != nil {
 		return nil, err
 	}
-	if want := fileHeaderSize + int64(slots)*d.slotSize(); st.Size() != want {
+	if want := d.fileSize(); st.Size() != want {
 		return nil, fmt.Errorf("file size %d does not match %d slots (want %d)", st.Size(), slots, want)
 	}
 
@@ -419,12 +376,11 @@ func (d *DiskStore) ioPanic(op string, err error) {
 	panic(fmt.Sprintf("storage: page file %s: %s: %v", d.path, op, err))
 }
 
-// readSlotHeader returns (used, count, next, bounds) of slot i.
-func (d *DiskStore) readSlotHeader(i int32) (uint32, int, int32, geom.Rect) {
-	var sh [slotHeaderSize]byte
-	if _, err := d.f.ReadAt(sh[:], d.slotOff(i)); err != nil {
-		d.ioPanic(fmt.Sprintf("reading slot %d", i), err)
-	}
+// slotHeader returns (used, count, next, bounds) of slot i, read from the
+// mapping. Callers hold d.mu.
+func (d *DiskStore) slotHeader(i int32) (uint32, int, int32, geom.Rect) {
+	off := d.slotOff(i)
+	sh := d.curMap().data[off : off+slotHeaderSize]
 	var b geom.Rect
 	b.MinX = math.Float64frombits(binary.LittleEndian.Uint64(sh[16:]))
 	b.MinY = math.Float64frombits(binary.LittleEndian.Uint64(sh[24:]))
@@ -460,14 +416,14 @@ func (d *DiskStore) writeSlot(i int32, state uint32, pts []geom.Point, next int3
 func (d *DiskStore) popSlot() int32 {
 	if d.free != -1 && d.pins.Load() == 0 {
 		i := d.free
-		_, _, next, _ := d.readSlotHeader(i)
+		_, _, next, _ := d.slotHeader(i)
 		d.free = next
 		d.nfree--
 		return i
 	}
 	i := d.slots
 	d.slots++
-	if err := d.f.Truncate(fileHeaderSize + int64(d.slots)*d.slotSize()); err != nil {
+	if err := d.f.Truncate(d.fileSize()); err != nil {
 		d.ioPanic("extending file", err)
 	}
 	d.ensureMapped()
@@ -486,7 +442,7 @@ func (d *DiskStore) chainSlots(id PageID) []int32 {
 	var chain []int32
 	for i := int32(id); i != -1; {
 		chain = append(chain, i)
-		_, _, next, _ := d.readSlotHeader(i)
+		_, _, next, _ := d.slotHeader(i)
 		i = next
 		if len(chain) > int(d.slots) {
 			d.ioPanic("walking page chain", fmt.Errorf("cycle at page %d", id))
@@ -527,52 +483,12 @@ func (d *DiskStore) writeChain(chain []int32, pts []geom.Point, bounds geom.Rect
 	}
 }
 
-// readPage assembles the page from its slot chain with positional reads; it
-// runs OUTSIDE d.mu (the pread fault path), so it must not touch mutable
-// store state — maxPts is the caller's mu-captured cycle bound.
-func (d *DiskStore) readPage(id PageID, maxPts int) ([]geom.Point, geom.Rect) {
-	state, count, next, bounds := d.readSlotHeader(int32(id))
-	if state != slotHead {
-		d.ioPanic("resolving page", fmt.Errorf("page %d is not a chain head (state %d)", id, state))
-	}
-	pts := make([]geom.Point, 0, count)
-	i := int32(id)
-	for {
-		pts = append(pts, d.readSlotPoints(i, count)...)
-		if next == -1 {
-			break
-		}
-		i = next
-		if len(pts) > maxPts {
-			d.ioPanic("walking page chain", fmt.Errorf("cycle at page %d", id))
-		}
-		_, count, next, _ = d.readSlotHeader(i)
-	}
-	return pts, bounds
-}
-
-func (d *DiskStore) readSlotPoints(i int32, count int) []geom.Point {
-	if count == 0 {
-		return nil
-	}
-	buf := make([]byte, count*pointSize)
-	if _, err := d.f.ReadAt(buf, d.slotOff(i)+slotHeaderSize); err != nil {
-		d.ioPanic(fmt.Sprintf("reading slot %d points", i), err)
-	}
-	pts := make([]geom.Point, count)
-	for j := range pts {
-		pts[j].X = math.Float64frombits(binary.LittleEndian.Uint64(buf[j*pointSize:]))
-		pts[j].Y = math.Float64frombits(binary.LittleEndian.Uint64(buf[j*pointSize+8:]))
-	}
-	return pts
-}
-
 // ----------------------------------------------------------- PageStore API
 
-// Alloc implements PageStore. In mmap mode a single-slot page is cached as
-// a zero-copy view over the just-written file bytes (coherent with WriteAt
-// through the shared mapping), so bulk builds do not hold a second heap
-// copy of every page; otherwise the cache keeps a private copy as before.
+// Alloc implements PageStore. A single-slot page is cached as a zero-copy
+// view over the just-written file bytes (coherent with WriteAt through the
+// shared mapping), so bulk builds do not hold a second heap copy of every
+// page; a chained page's cache entry is a private copy.
 func (d *DiskStore) Alloc(pts []geom.Point, bounds geom.Rect) PageID {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -581,7 +497,7 @@ func (d *DiskStore) Alloc(pts []geom.Point, bounds geom.Rect) PageID {
 	d.writeChain(chain, pts, bounds)
 	d.npages++
 	id := PageID(head)
-	if d.osf != nil && len(pts) <= d.slotCap {
+	if len(pts) <= d.slotCap {
 		d.cacheInsert(id, d.curMap().pointsAt(d.slotOff(head)+slotHeaderSize, len(pts)), bounds, true)
 	} else {
 		d.cacheInsert(id, append([]geom.Point(nil), pts...), bounds, false)
@@ -597,114 +513,64 @@ func (d *DiskStore) Alloc(pts []geom.Point, bounds geom.Rect) PageID {
 // the PageView; Page drops it after promoting).
 //
 // The cache-hit path performs no allocations: a table load, an LRU move,
-// and two pin increments. A pread-mode miss reads from disk OUTSIDE the
-// store mutex (file reads are positional and the structural fields a fault
-// touches are immutable while reads are running — mutation requires the
-// same exclusive access as any index update), so one cold fault never
-// blocks hits or faults of other pages; concurrent faults of the same page
-// are single-flighted through d.loading. An mmap-mode miss never leaves
-// the mutex: constructing the borrowed view issues no read syscall, and
-// the kernel pages the bytes in lazily when the scan touches them.
+// and two pin increments. A miss does not leave the mutex: constructing the
+// borrowed view issues no read syscall, and the kernel pages the bytes in
+// lazily when the scan touches them.
 func (d *DiskStore) pageEntry(id PageID) (*cacheEntry, []geom.Point) {
 	d.mu.Lock()
-	for {
-		if e := d.cache.get(id); e != nil {
-			d.hits++
-			if s := d.sink.Load(); s != nil {
-				atomic.AddInt64(&s.CacheHits, 1)
-			}
-			e.pins.Add(1)
-			d.pins.Add(1)
-			pts := e.pg.Pts
-			d.mu.Unlock()
-			return e, pts
-		}
-		if d.osf != nil {
-			e := d.faultMapped(id)
-			e.pins.Add(1)
-			d.pins.Add(1)
-			pts := e.pg.Pts
-			d.mu.Unlock()
-			return e, pts
-		}
-		ch, inflight := d.loading[id]
-		if !inflight {
-			break
-		}
-		d.mu.Unlock()
-		<-ch
-		d.mu.Lock()
+	e := d.cache.get(id)
+	if e == nil {
+		return d.fault(id)
 	}
-	d.misses++
+	d.hits++
 	if s := d.sink.Load(); s != nil {
-		atomic.AddInt64(&s.CacheMisses, 1)
+		atomic.AddInt64(&s.CacheHits, 1)
 	}
-	ch := make(chan struct{})
-	d.loading[id] = ch
-	// Captured under mu: the fault runs unlocked and may race a concurrent
-	// Alloc growing the file; the cycle guard only needs a stable bound.
-	maxPts := int(d.slots) * d.slotCap
-	d.mu.Unlock()
-	// Deregister via defer so the latch is released even if readPage
-	// panics (I/O failure): in a process that survives the panic (e.g.
-	// behind net/http's handler recovery), waiters must refault rather
-	// than block forever on a channel nobody will close.
-	defer func() {
-		d.mu.Lock()
-		delete(d.loading, id)
-		close(ch)
-		d.mu.Unlock()
-	}()
-
-	t0 := time.Since(clockEpoch)
-	pts, bounds := d.readPage(id, maxPts)
-	d.countRead(t0)
-
-	d.mu.Lock()
-	e := d.cacheInsert(id, pts, bounds, false)
 	e.pins.Add(1)
 	d.pins.Add(1)
+	pts := e.pg.Pts
 	d.mu.Unlock()
 	return e, pts
 }
 
-// faultMapped services a cache miss from the file mapping: a single-slot
+// fault is pageEntry's miss path, entered with d.mu held: a single-slot
 // page (the common case — SlotCap matches the leaf capacity) becomes a
 // zero-copy Page aliasing the mapped bytes; a chained page is decoded into
 // a private heap copy, chained slabs being non-contiguous on file. Counts
-// as a miss and as one page-file read. Callers hold d.mu.
-func (d *DiskStore) faultMapped(id PageID) *cacheEntry {
+// as a miss and as one page-file read.
+//
+// It reads the mapping under the mutex, and such a read can fault (see
+// DiskStore), so it releases the mutex on every exit, a panic included.
+func (d *DiskStore) fault(id PageID) (*cacheEntry, []geom.Point) {
+	defer d.mu.Unlock()
+	t0 := time.Since(clockEpoch)
+	m := d.curMap()
 	d.misses++
 	if s := d.sink.Load(); s != nil {
 		atomic.AddInt64(&s.CacheMisses, 1)
 	}
-	t0 := time.Since(clockEpoch)
-	m := d.curMap()
-	state, count, next, bounds := d.slotHeaderMapped(m, int32(id))
+	state, count, next, bounds := d.slotHeader(int32(id))
 	if state != slotHead {
 		d.ioPanic("resolving page", fmt.Errorf("page %d is not a chain head (state %d)", id, state))
 	}
-	var pts []geom.Point
+	pts := m.pointsAt(d.slotOff(int32(id))+slotHeaderSize, count)
 	mmapped := next == -1
-	if mmapped {
-		pts = m.pointsAt(d.slotOff(int32(id))+slotHeaderSize, count)
-	} else {
-		pts = make([]geom.Point, 0, d.chainLenMapped(m, int32(id)))
-		i := int32(id)
-		for {
+	if !mmapped {
+		n, ok := d.pageLen(id)
+		if !ok {
+			d.ioPanic("walking page chain", fmt.Errorf("broken chain at page %d", id))
+		}
+		pts = make([]geom.Point, 0, n)
+		for i := int32(id); i != -1; i = next {
+			_, count, next, _ = d.slotHeader(i)
 			pts = append(pts, m.pointsAt(d.slotOff(i)+slotHeaderSize, count)...)
-			if next == -1 {
-				break
-			}
-			i = next
-			if len(pts) > int(d.slots)*d.slotCap {
-				d.ioPanic("walking page chain", fmt.Errorf("cycle at page %d", id))
-			}
-			_, count, next, _ = d.slotHeaderMapped(m, i)
 		}
 	}
 	d.countRead(t0)
-	return d.cacheInsert(id, pts, bounds, mmapped)
+	e := d.cacheInsert(id, pts, bounds, mmapped)
+	e.pins.Add(1)
+	d.pins.Add(1)
+	return e, pts
 }
 
 // clockEpoch anchors the fault clock: time.Since(clockEpoch) reads only the
@@ -722,50 +588,24 @@ func (d *DiskStore) countRead(t0 time.Duration) {
 	}
 }
 
-// slotHeaderMapped is readSlotHeader served from the mapping (no syscall).
-// Callers hold d.mu.
-func (d *DiskStore) slotHeaderMapped(m *fileMap, i int32) (uint32, int, int32, geom.Rect) {
-	off := d.slotOff(i)
-	sh := m.data[off : off+slotHeaderSize]
-	var b geom.Rect
-	b.MinX = math.Float64frombits(binary.LittleEndian.Uint64(sh[16:]))
-	b.MinY = math.Float64frombits(binary.LittleEndian.Uint64(sh[24:]))
-	b.MaxX = math.Float64frombits(binary.LittleEndian.Uint64(sh[32:]))
-	b.MaxY = math.Float64frombits(binary.LittleEndian.Uint64(sh[40:]))
-	return binary.LittleEndian.Uint32(sh[0:]), int(binary.LittleEndian.Uint32(sh[4:])), int32(binary.LittleEndian.Uint32(sh[8:])), b
-}
-
-// chainLenMapped sums the point counts along a page chain via the mapping,
-// so a chained decode allocates its exact footprint once. Callers hold d.mu.
-func (d *DiskStore) chainLenMapped(m *fileMap, head int32) int {
-	total, hops := 0, 0
-	for i := head; i != -1; {
-		_, count, next, _ := d.slotHeaderMapped(m, i)
-		total += count
-		i = next
-		if hops++; hops > int(d.slots) {
-			d.ioPanic("walking page chain", fmt.Errorf("cycle at page %d", head))
-		}
-	}
-	return total
-}
-
 // Page implements PageStore. Because callers of Page may mutate the
 // returned page as staging for an Update (see the PageStore contract), an
 // mmap-backed cache entry is first promoted to a private heap copy — the
 // mapping is read-only and must never be written through. Read-only
-// callers should use View, which keeps the zero-copy entry intact.
+// callers should use View, which keeps the zero-copy entry intact. The
+// promotion copy reads the mapping under the mutex, so the mutex and the pin
+// are released by defer: a faulting copy leaves neither held.
 func (d *DiskStore) Page(id PageID) *Page {
 	e, _ := d.pageEntry(id)
+	defer e.unpin() // after the unlock: a final unpin may take d.mu
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	if e.mmapped {
 		pts := make([]geom.Point, len(e.pg.Pts))
 		copy(pts, e.pg.Pts)
 		e.pg.Pts = pts
 		e.mmapped = false
 	}
-	d.mu.Unlock()
-	e.unpin()
 	return &e.pg
 }
 
@@ -821,10 +661,15 @@ func (d *DiskStore) Has(id PageID) bool {
 func (d *DiskStore) PageLen(id PageID) (int, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return d.pageLen(id)
+}
+
+// pageLen is PageLen under d.mu, which callers hold.
+func (d *DiskStore) pageLen(id PageID) (int, bool) {
 	if id < 0 || int32(id) >= d.slots {
 		return 0, false
 	}
-	state, count, next, _ := d.readSlotHeader(int32(id))
+	state, count, next, _ := d.slotHeader(int32(id))
 	if state != slotHead {
 		return 0, false
 	}
@@ -833,7 +678,7 @@ func (d *DiskStore) PageLen(id PageID) (int, bool) {
 		if hops > int(d.slots) {
 			return 0, false
 		}
-		state, count, next, _ = d.readSlotHeader(next)
+		state, count, next, _ = d.slotHeader(next)
 		if state != slotCont {
 			return 0, false
 		}
@@ -868,7 +713,7 @@ func (d *DiskStore) Bytes() int64 {
 func (d *DiskStore) FileBytes() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return fileHeaderSize + int64(d.slots)*d.slotSize()
+	return d.fileSize()
 }
 
 // CacheStats implements PageStore.
@@ -961,16 +806,14 @@ func (d *DiskStore) reapMappings() {
 
 // reapMappingsLocked unmaps everything iff the store is closed, no view is
 // pinned, and the reap has not already happened. It also drops the cache —
-// mmap-backed entries alias memory that is about to disappear — and clears
-// osf so any (contract-violating) post-close fault takes the pread path and
-// surfaces the closed descriptor as an ioPanic instead of a segfault.
-// Callers hold d.mu.
+// mmap-backed entries alias memory that is about to disappear — so a
+// (contract-violating) read after it misses, and the miss path's curMap
+// surfaces it as an ioPanic instead of a segfault. Callers hold d.mu.
 func (d *DiskStore) reapMappingsLocked() {
 	if d.reaped || !d.closed || d.pins.Load() != 0 {
 		return
 	}
 	d.reaped = true
-	d.osf = nil
 	d.cache.init(d.cache.capPages)
 	for _, m := range d.maps {
 		m.unmap()
@@ -1035,7 +878,7 @@ type cacheEntry struct {
 	// the views, so unpinning after detachment is still well-defined.
 	pins atomic.Int32
 	// mmapped marks pg.Pts as aliasing the read-only file mapping (true
-	// only in mmap mode, single-slot pages). Page() promotes such entries
+	// for single-slot pages). Page() promotes such entries
 	// to private heap copies before handing them out as mutable staging.
 	mmapped bool
 }

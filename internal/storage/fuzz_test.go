@@ -11,27 +11,20 @@ import (
 // FuzzViewInvalidation fuzzes the ordering of borrowed-view lifetimes
 // against every invalidation source the disk store has — Update, Free,
 // eviction (2-page cache), DropCaches, file growth (mapping growth), and
-// store Close with views still pinned — in both read modes. Each page
-// carries sentinel content; a pinned view must read back exactly the bytes
-// it was pinned over no matter which invalidations happen around it, and
-// the pin ledger must drain to zero with the mappings reaped at the end.
+// store Close with views still pinned. Each page carries sentinel content;
+// a pinned view must read back exactly the bytes it was pinned over no
+// matter which invalidations happen around it, and the pin ledger must
+// drain to zero with the mappings reaped at the end.
 func FuzzViewInvalidation(f *testing.F) {
 	f.Add([]byte{0, 6, 12, 3, 18, 9, 4, 24, 5, 1, 30, 2, 36, 3, 42, 4})
 	f.Add([]byte{3, 3, 3, 5, 2, 2, 4, 4, 0})
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 250, 129, 64, 33, 17, 99})
-	f.Fuzz(func(t *testing.T, ops []byte) {
-		for _, disableMmap := range []bool{false, true} {
-			if !mmapSupported && !disableMmap {
-				continue
-			}
-			runViewInvalidation(t, ops, disableMmap)
-		}
-	})
+	f.Fuzz(runViewInvalidation)
 }
 
-func runViewInvalidation(t *testing.T, ops []byte, disableMmap bool) {
+func runViewInvalidation(t *testing.T, ops []byte) {
 	d, err := CreatePageFile(filepath.Join(t.TempDir(), "fuzz.pages"),
-		DiskOptions{SlotCap: 4, CachePages: 2, DisableMmap: disableMmap})
+		DiskOptions{SlotCap: 4, CachePages: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,23 +5,14 @@ package storage
 import (
 	"errors"
 	"os"
-
-	"github.com/wazi-index/wazi/internal/geom"
 )
 
-// mmapSupported: this platform has no usable mmap (or is big-endian, where
-// reinterpreting little-endian file bytes in place would mis-decode), so the
-// disk store always uses the pread+decode path.
-const mmapSupported = false
-
-type fileMap struct{}
+// This platform has no usable mmap, or is big-endian, where reinterpreting
+// little-endian file bytes in place would mis-decode: CreatePageFile and
+// OpenPageFile fail here. The RAM-resident MemStore works everywhere.
 
 func mapFile(*os.File, int64) (*fileMap, error) {
-	return nil, errors.New("storage: mmap unsupported on this platform")
+	return nil, errors.New("disk page files need a little-endian unix with mmap")
 }
 
-func (m *fileMap) unmap()                 {}
-func (m *fileMap) covers(_, _ int64) bool { return false }
-func (m *fileMap) pointsAt(int64, int) []geom.Point {
-	panic("storage: pointsAt on unsupported platform")
-}
+func (m *fileMap) unmap() {}

@@ -5,34 +5,19 @@ package storage
 import (
 	"os"
 	"syscall"
-	"unsafe"
-
-	"github.com/wazi-index/wazi/internal/geom"
 )
 
-// mmapSupported reports whether the zero-copy mapping path is available on
-// this platform. The build tags restrict it to unix-likes with working
+// The build tags restrict page files to unix-likes with working
 // syscall.Mmap AND little-endian architectures: the page-file format is
-// little-endian, and the zero-copy path reinterprets file bytes as
-// []geom.Point in place, which is only a correct decode where the in-memory
-// byte order matches the on-file one. Everywhere else the disk store falls
-// back to the pread+decode path transparently.
-const mmapSupported = true
+// little-endian, and every read reinterprets file bytes as []geom.Point in
+// place, which is only a correct decode where the in-memory byte order
+// matches the on-file one. Elsewhere mmap_stub.go refuses to open them.
 
 // minMapBytes is the smallest mapping ever created. Mapping generously past
 // the current end of file is deliberate: extending the file inside an
 // existing mapping needs no remap, and pages past EOF are merely unusable
 // (never touched — slot offsets are bounded by the file size), not unsafe.
 const minMapBytes = 4 << 20
-
-// fileMap is one read-only shared mapping of a page file. Mappings are
-// created by mapFile, grown by mapping the file AGAIN at a larger size
-// (never by moving the old one: borrowed views and cached pages alias old
-// mappings, which therefore stay valid until the store's final teardown),
-// and released by munmap only when no pinned view can reference them.
-type fileMap struct {
-	data []byte
-}
 
 // mapFile maps at least want bytes of f read-only and shared. Shared
 // mappings on a unified-page-cache kernel are coherent with WriteAt on the
@@ -61,24 +46,4 @@ func (m *fileMap) unmap() {
 		syscall.Munmap(m.data)
 		m.data = nil
 	}
-}
-
-// covers reports whether the byte range [off, off+n) lies inside the
-// mapping.
-func (m *fileMap) covers(off, n int64) bool {
-	return off >= 0 && n >= 0 && off+n <= int64(len(m.data))
-}
-
-// pointsAt reinterprets count points starting at byte offset off as a
-// []geom.Point without copying. The slot layout guarantees 8-byte alignment
-// (the header is 64 bytes, slots are 48+16·cap bytes), which unsafe.Slice
-// requires for float64 loads; an assertion guards the arithmetic anyway.
-func (m *fileMap) pointsAt(off int64, count int) []geom.Point {
-	if count == 0 {
-		return nil
-	}
-	if off%8 != 0 {
-		panic("storage: misaligned point slab in page-file mapping")
-	}
-	return unsafe.Slice((*geom.Point)(unsafe.Pointer(&m.data[off])), count)
 }

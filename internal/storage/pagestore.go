@@ -16,7 +16,7 @@ const NoPage PageID = -1
 // PageView is a borrowed, read-only view of one page's points, the
 // allocation-free read surface of a PageStore. The slice aliases storage
 // owned by the store — a cached page, an arena segment, or (in the disk
-// backend's mmap mode) the page-file bytes themselves — so its lifetime is
+// backend) the mapped page-file bytes themselves — so its lifetime is
 // governed by pinning:
 //
 //   - A view is valid from View until Release. Release is idempotent on the
@@ -30,8 +30,8 @@ const NoPage PageID = -1
 //     Update/Free of the SAME page while a view of it is pinned is the one
 //     hazard the store does not defend against, exactly mirroring the
 //     exclusive-access clause of the PageStore contract.
-//   - The points must not be mutated through the view; in mmap mode they
-//     alias a read-only mapping and writing would fault the process.
+//   - The points must not be mutated through the view; a disk-backed view
+//     aliases a read-only mapping and writing would fault the process.
 type PageView struct {
 	// Pts is the page's point data, borrowed from the store.
 	Pts []geom.Point
@@ -78,9 +78,11 @@ func (v *PageView) Contains(pt geom.Point) bool {
 //     Update of the same id (the pattern update paths use for deletes).
 //   - A disk-backed store reports unrecoverable I/O failures on an already
 //     validated file by panicking — query paths deliberately have no error
-//     channel, mirroring how mmap-based stores surface torn files. All
-//     decode-time validation (corrupt or foreign files) happens in
-//     OpenPageFile and returns errors instead.
+//     channel. It reads through a file mapping, so a failed read is a
+//     memory fault: fatal by default, a recoverable panic on a goroutine
+//     that set debug.SetPanicOnFault, after which the store keeps serving
+//     its other pages. All decode-time validation (corrupt or foreign
+//     files) happens in OpenPageFile and returns errors instead.
 type PageStore interface {
 	// Alloc creates a page holding a copy of pts and returns its id.
 	// bounds is the leaf cell the page serves, used by workload-aware

@@ -12,71 +12,40 @@ import (
 	"github.com/wazi-index/wazi/internal/geom"
 )
 
-// readModes enumerates the disk store's read paths. The mmap mode is
-// skipped automatically where the platform cannot map files.
-func readModes(t *testing.T) []struct {
-	name        string
-	disableMmap bool
-} {
-	t.Helper()
-	modes := []struct {
-		name        string
-		disableMmap bool
-	}{{"pread", true}}
-	if mmapSupported {
-		modes = append([]struct {
-			name        string
-			disableMmap bool
-		}{{"mmap", false}}, modes...)
+func TestViewRoundTrip(t *testing.T) {
+	d := tmpStore(t, DiskOptions{SlotCap: 8, CachePages: 4})
+	b := geom.Rect{MaxX: 1, MaxY: 1}
+	cases := [][]geom.Point{
+		somePoints(5, 1),
+		somePoints(8, 2),
+		somePoints(9, 3),  // 2-slot chain
+		somePoints(40, 4), // 5-slot chain
+		nil,
 	}
-	return modes
+	ids := make([]PageID, len(cases))
+	for i, pts := range cases {
+		ids[i] = d.Alloc(pts, b)
+	}
+	check := func(ctx string) {
+		for i, pts := range cases {
+			v := d.View(ids[i])
+			samePts(t, v.Pts, pts, ctx)
+			v.Release()
+			v.Release() // double release is harmless
+		}
+		if n := d.Pins(); n != 0 {
+			t.Fatalf("%s: %d pins outstanding after releases", ctx, n)
+		}
+	}
+	check("warm view")
+	d.DropCaches()
+	check("cold view")
 }
 
-func TestViewRoundTripBothModes(t *testing.T) {
-	for _, mode := range readModes(t) {
-		t.Run(mode.name, func(t *testing.T) {
-			d := tmpStore(t, DiskOptions{SlotCap: 8, CachePages: 4, DisableMmap: mode.disableMmap})
-			if want := !mode.disableMmap; d.MmapMode() != want && mmapSupported {
-				t.Fatalf("MmapMode() = %v, want %v", d.MmapMode(), want)
-			}
-			b := geom.Rect{MaxX: 1, MaxY: 1}
-			cases := [][]geom.Point{
-				somePoints(5, 1),
-				somePoints(8, 2),
-				somePoints(9, 3),  // 2-slot chain
-				somePoints(40, 4), // 5-slot chain
-				nil,
-			}
-			ids := make([]PageID, len(cases))
-			for i, pts := range cases {
-				ids[i] = d.Alloc(pts, b)
-			}
-			check := func(ctx string) {
-				for i, pts := range cases {
-					v := d.View(ids[i])
-					samePts(t, v.Pts, pts, ctx)
-					v.Release()
-					v.Release() // double release is harmless
-				}
-				if n := d.Pins(); n != 0 {
-					t.Fatalf("%s: %d pins outstanding after releases", ctx, n)
-				}
-			}
-			check("warm view")
-			d.DropCaches()
-			check("cold view")
-		})
-	}
-}
-
-// TestViewAliasesMapping pins the zero-copy property itself: in mmap mode a
-// single-slot page's view must point into the file mapping, not at a
-// decoded heap copy.
+// TestViewAliasesMapping pins the zero-copy property itself: a single-slot
+// page's view must point into the file mapping, not at a decoded heap copy.
 func TestViewAliasesMapping(t *testing.T) {
 	d := tmpStore(t, DiskOptions{SlotCap: 8, CachePages: 4})
-	if !d.MmapMode() {
-		t.Skip("mmap unsupported on this platform")
-	}
 	b := geom.Rect{MaxX: 1, MaxY: 1}
 	id := d.Alloc(somePoints(8, 1), b)
 	d.DropCaches()
@@ -120,75 +89,64 @@ func TestViewAliasesMapping(t *testing.T) {
 // allocations extend the file — and recycling resumes after the last
 // release.
 func TestRecycleGuard(t *testing.T) {
-	for _, mode := range readModes(t) {
-		t.Run(mode.name, func(t *testing.T) {
-			d := tmpStore(t, DiskOptions{SlotCap: 4, CachePages: 8, DisableMmap: mode.disableMmap})
-			b := geom.Rect{MaxX: 1, MaxY: 1}
-			aPts := somePoints(4, 1)
-			a := d.Alloc(aPts, b)
-			victim := d.Alloc(somePoints(4, 2), b)
-			d.DropCaches()
+	d := tmpStore(t, DiskOptions{SlotCap: 4, CachePages: 8})
+	b := geom.Rect{MaxX: 1, MaxY: 1}
+	aPts := somePoints(4, 1)
+	a := d.Alloc(aPts, b)
+	victim := d.Alloc(somePoints(4, 2), b)
+	d.DropCaches()
 
-			v := d.View(a)
-			d.Free(victim)
-			before := d.FileBytes()
-			d.Alloc(somePoints(4, 3), b)
-			if d.FileBytes() == before {
-				t.Fatal("freed slot recycled while a view was pinned")
-			}
-			samePts(t, v.Pts, aPts, "pinned view across Free+Alloc")
-			v.Release()
-			if d.Pins() != 0 {
-				t.Fatalf("pins = %d after release", d.Pins())
-			}
+	v := d.View(a)
+	d.Free(victim)
+	before := d.FileBytes()
+	d.Alloc(somePoints(4, 3), b)
+	if d.FileBytes() == before {
+		t.Fatal("freed slot recycled while a view was pinned")
+	}
+	samePts(t, v.Pts, aPts, "pinned view across Free+Alloc")
+	v.Release()
+	if d.Pins() != 0 {
+		t.Fatalf("pins = %d after release", d.Pins())
+	}
 
-			before = d.FileBytes()
-			d.Alloc(somePoints(4, 4), b) // victim's slot is free again
-			if d.FileBytes() != before {
-				t.Fatal("freed slot not recycled once the last view released")
-			}
-		})
+	before = d.FileBytes()
+	d.Alloc(somePoints(4, 4), b) // victim's slot is free again
+	if d.FileBytes() != before {
+		t.Fatal("freed slot not recycled once the last view released")
 	}
 }
 
 // TestViewSurvivesEvictionAndDropCaches holds a pinned view while its cache
 // entry is evicted, dropped, and its neighbors churn: the borrowed bytes
-// must stay intact in both read modes.
+// must stay intact.
 func TestViewSurvivesEvictionAndDropCaches(t *testing.T) {
-	for _, mode := range readModes(t) {
-		t.Run(mode.name, func(t *testing.T) {
-			d := tmpStore(t, DiskOptions{SlotCap: 8, CachePages: 2, DisableMmap: mode.disableMmap})
-			b := geom.Rect{MaxX: 1, MaxY: 1}
-			aPts := somePoints(8, 1)
-			a := d.Alloc(aPts, b)
-			d.DropCaches()
+	d := tmpStore(t, DiskOptions{SlotCap: 8, CachePages: 2})
+	b := geom.Rect{MaxX: 1, MaxY: 1}
+	aPts := somePoints(8, 1)
+	a := d.Alloc(aPts, b)
+	d.DropCaches()
 
-			v := d.View(a)
-			for i := 0; i < 16; i++ { // flood a 2-page cache
-				id := d.Alloc(somePoints(8, int64(100+i)), b)
-				d.Page(id)
-			}
-			samePts(t, v.Pts, aPts, "pinned view across eviction pressure")
-			d.DropCaches()
-			samePts(t, v.Pts, aPts, "pinned view across DropCaches")
-			v.Release()
-
-			v2 := d.View(a) // refault after everything was dropped
-			samePts(t, v2.Pts, aPts, "refaulted view")
-			v2.Release()
-		})
+	v := d.View(a)
+	for i := 0; i < 16; i++ { // flood a 2-page cache
+		id := d.Alloc(somePoints(8, int64(100+i)), b)
+		d.Page(id)
 	}
+	samePts(t, v.Pts, aPts, "pinned view across eviction pressure")
+	d.DropCaches()
+	samePts(t, v.Pts, aPts, "pinned view across DropCaches")
+	v.Release()
+
+	v2 := d.View(a) // refault after everything was dropped
+	samePts(t, v2.Pts, aPts, "refaulted view")
+	v2.Release()
 }
 
-// TestPagePromotesMappedEntry pins Page's mutable-staging contract in mmap
-// mode: the returned page must be a private heap copy (writing through a
-// read-only mapping would fault the process), and the staged mutation must
+// TestPagePromotesMappedEntry pins Page's mutable-staging contract: the
+// returned page must be a private heap copy (writing through a read-only
+// mapping would fault the process), and the staged mutation must
 // round-trip through Update.
 func TestPagePromotesMappedEntry(t *testing.T) {
 	d := tmpStore(t, DiskOptions{SlotCap: 8, CachePages: 4})
-	if !d.MmapMode() {
-		t.Skip("mmap unsupported on this platform")
-	}
 	b := geom.Rect{MaxX: 1, MaxY: 1}
 	id := d.Alloc(somePoints(8, 1), b)
 	d.DropCaches()
@@ -205,36 +163,27 @@ func TestPagePromotesMappedEntry(t *testing.T) {
 }
 
 // TestCacheBytesExactForChains pins the accounting fix: a multi-slot chain
-// must be counted at its full decoded size, not one slot's worth, and
-// mmap-backed entries contribute bookkeeping only (their points are file
-// bytes, not cache heap).
+// must be counted at its full decoded size, not one slot's worth; a
+// single-slot page counts its full size once Page promoted it to the heap,
+// and bookkeeping only while it is zero-copy (its points are file bytes,
+// not cache heap).
 func TestCacheBytesExactForChains(t *testing.T) {
 	b := geom.Rect{MaxX: 1, MaxY: 1}
-
-	d := tmpStore(t, DiskOptions{SlotCap: 8, CachePages: 8, DisableMmap: true})
-	d.Alloc(somePoints(40, 1), b) // 5-slot chain, decoded to heap
+	d := tmpStore(t, DiskOptions{SlotCap: 8, CachePages: 8})
+	d.Alloc(somePoints(40, 1), b) // 5-slot chain
 	d.Alloc(somePoints(5, 2), b)  // single slot
 	d.DropCaches()
-	d.Page(PageID(0))
-	d.Page(PageID(5))
-	want := int64((40+5)*pointSize + 2*pageOverheadBytes)
-	if got := d.Bytes(); got != want {
-		t.Fatalf("pread cache bytes = %d, want %d (chained page must count all %d points)", got, want, 40)
-	}
-
-	if !mmapSupported {
-		return
-	}
-	m := tmpStore(t, DiskOptions{SlotCap: 8, CachePages: 8})
-	m.Alloc(somePoints(40, 1), b)
-	m.Alloc(somePoints(5, 2), b)
-	m.DropCaches()
-	m.Page(PageID(0)) // chained: decoded to heap even in mmap mode
-	v := m.View(PageID(5))
+	d.Page(PageID(0)) // chained: decoded to heap
+	v := d.View(PageID(5))
 	v.Release() // single slot: zero-copy, counted as bookkeeping only
-	want = int64(40*pointSize + 2*pageOverheadBytes)
-	if got := m.Bytes(); got != want {
-		t.Fatalf("mmap cache bytes = %d, want %d (zero-copy page must not count as heap)", got, want)
+	want := int64(40*pointSize + 2*pageOverheadBytes)
+	if got := d.Bytes(); got != want {
+		t.Fatalf("cache bytes = %d, want %d (chained page must count all %d points, zero-copy page none)", got, want, 40)
+	}
+	d.Page(PageID(5)) // promoted to a heap copy
+	want += 5 * pointSize
+	if got := d.Bytes(); got != want {
+		t.Fatalf("cache bytes after promotion = %d, want %d", got, want)
 	}
 }
 
@@ -298,103 +247,99 @@ func containsStr(s, sub string) bool {
 // -race it checks the pin/unpin, recycle-guard, and mapping-growth
 // synchronization; contents of the stable set are verified on every read.
 func TestViewRaceSoak(t *testing.T) {
-	for _, mode := range readModes(t) {
-		t.Run(mode.name, func(t *testing.T) {
-			d := tmpStore(t, DiskOptions{SlotCap: 8, CachePages: 4, DisableMmap: mode.disableMmap})
-			b := geom.Rect{MaxX: 1, MaxY: 1}
+	d := tmpStore(t, DiskOptions{SlotCap: 8, CachePages: 4})
+	b := geom.Rect{MaxX: 1, MaxY: 1}
 
-			const stable = 8
-			wantPts := make([][]geom.Point, stable)
-			ids := make([]PageID, stable)
-			for i := range ids {
-				wantPts[i] = somePoints(8, int64(i+1))
-				ids[i] = d.Alloc(wantPts[i], b)
-			}
-			d.DropCaches()
+	const stable = 8
+	wantPts := make([][]geom.Point, stable)
+	ids := make([]PageID, stable)
+	for i := range ids {
+		wantPts[i] = somePoints(8, int64(i+1))
+		ids[i] = d.Alloc(wantPts[i], b)
+	}
+	d.DropCaches()
 
-			iters := 400
-			if testing.Short() {
-				iters = 50
-			}
-			var wg sync.WaitGroup
-			errc := make(chan error, 8)
-			for r := 0; r < 4; r++ {
-				wg.Add(1)
-				go func(seed int64) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(seed))
-					held := make([]PageView, 0, 4)
-					heldIdx := make([]int, 0, 4)
-					for i := 0; i < iters; i++ {
-						j := rng.Intn(stable)
-						v := d.View(ids[j])
-						held = append(held, v)
-						heldIdx = append(heldIdx, j)
-						if len(held) == cap(held) || rng.Intn(3) == 0 {
-							for k, hv := range held {
-								w := wantPts[heldIdx[k]]
-								if len(hv.Pts) != len(w) {
-									errc <- fmt.Errorf("view of page %d: %d points, want %d", heldIdx[k], len(hv.Pts), len(w))
-									hv.Release()
-									continue
-								}
-								for x := range w {
-									if hv.Pts[x] != w[x] {
-										errc <- fmt.Errorf("view of page %d: point %d = %v, want %v", heldIdx[k], x, hv.Pts[x], w[x])
-										break
-									}
-								}
-								hv.Release()
-							}
-							held, heldIdx = held[:0], heldIdx[:0]
+	iters := 400
+	if testing.Short() {
+		iters = 50
+	}
+	var wg sync.WaitGroup
+	errc := make(chan error, 8)
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			held := make([]PageView, 0, 4)
+			heldIdx := make([]int, 0, 4)
+			for i := 0; i < iters; i++ {
+				j := rng.Intn(stable)
+				v := d.View(ids[j])
+				held = append(held, v)
+				heldIdx = append(heldIdx, j)
+				if len(held) == cap(held) || rng.Intn(3) == 0 {
+					for k, hv := range held {
+						w := wantPts[heldIdx[k]]
+						if len(hv.Pts) != len(w) {
+							errc <- fmt.Errorf("view of page %d: %d points, want %d", heldIdx[k], len(hv.Pts), len(w))
+							hv.Release()
+							continue
 						}
-					}
-					for _, hv := range held {
+						for x := range w {
+							if hv.Pts[x] != w[x] {
+								errc <- fmt.Errorf("view of page %d: point %d = %v, want %v", heldIdx[k], x, hv.Pts[x], w[x])
+								break
+							}
+						}
 						hv.Release()
 					}
-				}(int64(100 + r))
-			}
-			// Writer: churn pages disjoint from the stable set.
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(7))
-				var churn []PageID
-				for i := 0; i < iters; i++ {
-					switch {
-					case len(churn) < 4 || rng.Intn(3) == 0:
-						churn = append(churn, d.Alloc(somePoints(rng.Intn(20), int64(1000+i)), b))
-					case rng.Intn(2) == 0:
-						j := rng.Intn(len(churn))
-						d.Update(churn[j], somePoints(rng.Intn(20), int64(2000+i)), b)
-					default:
-						j := rng.Intn(len(churn))
-						d.Free(churn[j])
-						churn[j] = churn[len(churn)-1]
-						churn = churn[:len(churn)-1]
-					}
+					held, heldIdx = held[:0], heldIdx[:0]
 				}
-			}()
-			// Invalidator: periodic cache teardown.
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < iters/10; i++ {
-					d.DropCaches()
-				}
-			}()
-			wg.Wait()
-			close(errc)
-			for err := range errc {
-				t.Error(err)
 			}
-			if d.Pins() != 0 {
-				t.Fatalf("pins = %d after soak", d.Pins())
+			for _, hv := range held {
+				hv.Release()
 			}
-			for i := range ids {
-				samePts(t, d.Page(ids[i]).Pts, wantPts[i], "stable page after soak")
+		}(int64(100 + r))
+	}
+	// Writer: churn pages disjoint from the stable set.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(7))
+		var churn []PageID
+		for i := 0; i < iters; i++ {
+			switch {
+			case len(churn) < 4 || rng.Intn(3) == 0:
+				churn = append(churn, d.Alloc(somePoints(rng.Intn(20), int64(1000+i)), b))
+			case rng.Intn(2) == 0:
+				j := rng.Intn(len(churn))
+				d.Update(churn[j], somePoints(rng.Intn(20), int64(2000+i)), b)
+			default:
+				j := rng.Intn(len(churn))
+				d.Free(churn[j])
+				churn[j] = churn[len(churn)-1]
+				churn = churn[:len(churn)-1]
 			}
-		})
+		}
+	}()
+	// Invalidator: periodic cache teardown.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < iters/10; i++ {
+			d.DropCaches()
+		}
+	}()
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+	if d.Pins() != 0 {
+		t.Fatalf("pins = %d after soak", d.Pins())
+	}
+	for i := range ids {
+		samePts(t, d.Page(ids[i]).Pts, wantPts[i], "stable page after soak")
 	}
 }
 
@@ -403,9 +348,9 @@ func TestViewRaceSoak(t *testing.T) {
 // workload window with queries spread evenly over the grid: every cell
 // holds the uniform share, so none is hot and an eviction takes the LRU
 // tail after one hot test — the common case.
-func viewStore(tb testing.TB, pages int, disableMmap bool) (*DiskStore, []PageID) {
+func viewStore(tb testing.TB, pages int) (*DiskStore, []PageID) {
 	d, err := CreatePageFile(filepath.Join(tb.TempDir(), "pages"), DiskOptions{
-		SlotCap: 256, CachePages: 64, DisableMmap: disableMmap})
+		SlotCap: 256, CachePages: 64})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -424,21 +369,17 @@ func viewStore(tb testing.TB, pages int, disableMmap bool) (*DiskStore, []PageID
 }
 
 // BenchmarkDiskView times one View and Release on each of the disk store's
-// read paths: a cache hit, a mapped miss that evicts, and a pread miss that
-// evicts. The misses cycle through twice the cache's pages, so every View
-// faults (misses/op reports it).
+// read paths: a cache hit and a mapped miss that evicts. The misses cycle
+// through twice the cache's pages, so every View faults (misses/op reports
+// it).
 func BenchmarkDiskView(b *testing.B) {
 	cases := []struct {
-		name        string
-		pages       int
-		disableMmap bool
-	}{{"hit", 16, false}, {"mapped-miss", 128, false}, {"pread-miss", 128, true}}
+		name  string
+		pages int
+	}{{"hit", 16}, {"mapped-miss", 128}}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			if !c.disableMmap && !mmapSupported {
-				b.Skip("mmap unsupported on this platform")
-			}
-			d, ids := viewStore(b, c.pages, c.disableMmap)
+			d, ids := viewStore(b, c.pages)
 			for _, id := range ids { // the hit case's pages are resident
 				v := d.View(id)
 				v.Release()
@@ -466,32 +407,25 @@ func TestViewAllocs(t *testing.T) {
 			}
 		}
 	}
-	for _, mode := range readModes(t) {
-		t.Run(mode.name, func(t *testing.T) {
-			d, ids := viewStore(t, 128, mode.disableMmap)
-			v := d.View(ids[0])
-			v.Release()
-			if n := testing.AllocsPerRun(100, func() {
-				v := d.View(ids[0])
-				v.Release()
-			}); n != 0 {
-				t.Errorf("a hit allocates %v times, want 0", n)
-			}
-			if mode.disableMmap {
-				return // a pread miss decodes a private copy
-			}
-			next, before := 1, d.CacheStats().Misses
-			n := testing.AllocsPerRun(100, func() {
-				v := d.View(ids[next%len(ids)])
-				next++
-				v.Release()
-			})
-			if misses := d.CacheStats().Misses - before; misses != 101 {
-				t.Fatalf("%d of 101 Views missed; the test must fault every time", misses)
-			}
-			if n > 1 {
-				t.Errorf("a mapped miss allocates %v times, want at most 1", n)
-			}
-		})
+	d, ids := viewStore(t, 128)
+	v := d.View(ids[0])
+	v.Release()
+	if n := testing.AllocsPerRun(100, func() {
+		v := d.View(ids[0])
+		v.Release()
+	}); n != 0 {
+		t.Errorf("a hit allocates %v times, want 0", n)
+	}
+	next, before := 1, d.CacheStats().Misses
+	n := testing.AllocsPerRun(100, func() {
+		v := d.View(ids[next%len(ids)])
+		next++
+		v.Release()
+	})
+	if misses := d.CacheStats().Misses - before; misses != 101 {
+		t.Fatalf("%d of 101 Views missed; the test must fault every time", misses)
+	}
+	if n > 1 {
+		t.Errorf("a mapped miss allocates %v times, want at most 1", n)
 	}
 }

@@ -85,10 +85,6 @@ type Storage struct {
 	Path string
 	// CachePages bounds the block cache in pages (default 1024).
 	CachePages int
-	// DisableMmap forces the disk backend's pread+decode read path instead
-	// of zero-copy mapped page views (the default wherever the platform
-	// supports them). See docs/STORAGE.md.
-	DisableMmap bool
 }
 
 // Option customizes index construction.
@@ -132,15 +128,14 @@ func buildOptions(opts []Option) core.Options {
 		o(&c)
 	}
 	return core.Options{
-		LeafSize:           c.leafSize,
-		Kappa:              c.kappa,
-		Alpha:              c.alpha,
-		DisableSkipping:    c.noSkipping,
-		Seed:               c.seed,
-		ExactCounts:        c.exactCounts,
-		StoragePath:        c.storage.Path,
-		StorageCachePages:  c.storage.CachePages,
-		StorageDisableMmap: c.storage.DisableMmap,
+		LeafSize:          c.leafSize,
+		Kappa:             c.kappa,
+		Alpha:             c.alpha,
+		DisableSkipping:   c.noSkipping,
+		Seed:              c.seed,
+		ExactCounts:       c.exactCounts,
+		StoragePath:       c.storage.Path,
+		StorageCachePages: c.storage.CachePages,
 	}
 }
 

@@ -406,78 +406,6 @@ func BenchmarkAblationLeafSize(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedParallelRange compares the two serving layers under
-// parallel clients: the single-mutex Concurrent wrapper against the
-// lock-free fan-out Sharded layer (the waziexp "sharded" experiment in
-// testing.B form). Run with -cpu to sweep client parallelism, e.g.
-// go test -bench=ShardedParallel -cpu=1,4,16.
-func BenchmarkShardedParallelRange(b *testing.B) {
-	w := env.workload(benchScale)
-	qs := w.BySelectivity[bench.MidSelectivity]
-	half := len(qs) / 2
-	single, err := wazi.NewWorkloadAware(w.Data, qs[:half], wazi.WithSeed(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	sharded, err := wazi.NewSharded(w.Data, qs[:half],
-		wazi.WithShards(8), wazi.WithoutAutoRebuild(),
-		wazi.WithIndexOptions(wazi.WithSeed(1)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sharded.Close()
-	run := func(q func(geom.Rect) []geom.Point) func(b *testing.B) {
-		return func(b *testing.B) {
-			measure := qs[half:]
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					_ = q(measure[i%len(measure)])
-					i++
-				}
-			})
-		}
-	}
-	b.Run("Concurrent", run(wazi.NewConcurrent(single).RangeQuery))
-	b.Run("Sharded", run(sharded.RangeQuery))
-}
-
-// BenchmarkScenarioSuites measures the Sharded serving layer under every
-// named workload suite (the waziexp "scenarios" experiment in testing.B
-// form): uniform, gaussian-skew, hotspot-shift, the mixed read/write
-// ratios, and the adversarial anti-correlated ranges. The index is trained
-// on the paper's skewed check-in workload; each suite then probes how that
-// training generalizes.
-func BenchmarkScenarioSuites(b *testing.B) {
-	w := env.workload(benchScale)
-	train := w.BySelectivity[bench.MidSelectivity][:400]
-	inserts := workload.InsertBatch(100_000, 41)
-	for _, s := range workload.Suites() {
-		b.Run(s.Name, func(b *testing.B) {
-			// A fresh index per suite: the write-heavy suites grow and
-			// compact the index, which would skew later suites.
-			sharded, err := wazi.NewSharded(w.Data, train,
-				wazi.WithShards(8), wazi.WithoutAutoRebuild(),
-				wazi.WithIndexOptions(wazi.WithSeed(1)))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer sharded.Close()
-			qs := s.Queries(dataset.NewYork, 512, bench.MidSelectivity, 31)
-			ops := workload.MixedOps(qs, inserts, s.WriteRatio, 51)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				op := ops[i%len(ops)]
-				if op.IsWrite {
-					sharded.Insert(op.Point)
-				} else {
-					_ = sharded.RangeQuery(op.Query)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkKNN exercises the kNN-by-range-decomposition path (§6.3 remark).
 func BenchmarkKNN(b *testing.B) {
 	br, _ := env.index("WaZI", benchScale, bench.MidSelectivity)

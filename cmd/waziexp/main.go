@@ -1,25 +1,23 @@
-// Command waziexp is the benchmark driver of this repository: it runs the
-// paper's evaluation experiments and the serving-layer experiments under
-// the harness (warmup, repetitions, summary statistics), emits optional
-// machine-readable BENCH_<suite>.json reports, and compares two reports
-// for regressions.
+// Command waziexp reproduces the paper's evaluation: it runs the §6
+// experiments and two serving-layer experiments under the harness (warmup,
+// repetitions, summary statistics) and emits optional machine-readable
+// BENCH_<suite>.json reports. Performance of the serving stack is measured
+// by `go run ./benchmark` (BENCHMARK.json), not here.
 //
 // Usage:
 //
-//	waziexp run  -suite smoke -reps 1 -json BENCH_smoke.json
+//	waziexp run  -suite paper -reps 1 -json BENCH_paper.json
 //	waziexp run  -exp fig6,fig7 -reps 5 -warmup 1 -scale 400000
 //	waziexp list
-//	waziexp compare old.json new.json -threshold 0.10
-//	waziexp ratchet bench/baselines/BENCH_smoke.json BENCH_smoke.json
+//	waziexp promcheck metrics.txt -require wazi_http_request_seconds
 //
 // Experiment ids match the paper's artifact numbers (tab1…fig13) plus the
-// serving-layer experiments "sharded" and "scenarios"; suites bundle them
-// (smoke, paper, serving, full). See docs/EXPERIMENTS.md for the mapping
-// of every id to its paper figure and knobs.
+// serving-layer experiments "serving-http" and "repartition"; suites bundle
+// them (paper, serving, full). See docs/EXPERIMENTS.md for the mapping of
+// every id to its paper figure and knobs.
 //
-// Exit codes: 0 on success, 1 when compare finds a regression past the
-// threshold, 2 on usage errors — including unknown experiment ids and
-// unknown suite names.
+// Exit codes: 0 on success, 1 on a failed run or promcheck, 2 on usage
+// errors — including unknown experiment ids and unknown suite names.
 package main
 
 import (
@@ -41,10 +39,6 @@ func main() {
 		os.Exit(cmdRun(os.Args[2:]))
 	case "list":
 		os.Exit(cmdList())
-	case "compare":
-		os.Exit(cmdCompare(os.Args[2:]))
-	case "ratchet":
-		os.Exit(cmdRatchet(os.Args[2:]))
 	case "promcheck":
 		os.Exit(cmdPromcheck(os.Args[2:]))
 	case "help", "-h", "-help", "--help":
@@ -61,22 +55,16 @@ func main() {
 }
 
 func usage(w *os.File) {
-	fmt.Fprint(w, `waziexp — benchmark driver for the WaZI reproduction
+	fmt.Fprint(w, `waziexp — the paper's evaluation for the WaZI reproduction
 
 commands:
   run        run experiments under the harness (see waziexp run -h)
   list       list experiment ids and suites
-  compare    diff two BENCH_*.json reports (see waziexp compare -h)
-  ratchet    gate a fresh report against a committed baseline with
-             per-metric-class thresholds (see waziexp ratchet -h)
   promcheck  validate a Prometheus text-format scrape (e.g. from /metrics)
 
 examples:
-  waziexp run -suite smoke -reps 1 -json BENCH_smoke.json
+  waziexp run -suite paper -reps 1 -json BENCH_paper.json
   waziexp run -exp fig6,fig7 -reps 5 -warmup 1
-  waziexp compare BENCH_old.json BENCH_new.json -threshold 0.10
-  waziexp ratchet bench/baselines/BENCH_smoke.json BENCH_smoke.json
-  waziexp ratchet -update bench/baselines/BENCH_smoke.json BENCH_smoke.json
   waziexp promcheck metrics.txt -require wazi_http_request_seconds
 `)
 }
@@ -85,12 +73,12 @@ examples:
 func cmdList() int {
 	fmt.Println("experiments:")
 	for _, e := range bench.Experiments() {
-		fmt.Printf("  %-10s %s\n", e.ID, e.Title)
+		fmt.Printf("  %-12s %s\n", e.ID, e.Title)
 	}
 	fmt.Println("\nsuites:")
 	for _, s := range bench.Suites() {
-		fmt.Printf("  %-10s %s\n", s.Name, s.Description)
-		fmt.Printf("  %-10s   (%s)\n", "", strings.Join(s.Experiments, ", "))
+		fmt.Printf("  %-12s %s\n", s.Name, s.Description)
+		fmt.Printf("  %-12s   (%s)\n", "", strings.Join(s.Experiments, ", "))
 	}
 	return 0
 }

@@ -16,12 +16,12 @@ import (
 func cmdRun(args []string) int {
 	fs := flag.NewFlagSet("waziexp run", flag.ExitOnError)
 	var (
-		suite    = fs.String("suite", "", "suite name (smoke, paper, serving, full); exclusive with -exp")
+		suite    = fs.String("suite", "", "suite name (paper, serving, full); exclusive with -exp")
 		exp      = fs.String("exp", "", "comma-separated experiment ids, or 'all'; exclusive with -suite")
 		jsonPath = fs.String("json", "", "write a machine-readable report to this path (BENCH_<suite>.json convention)")
 		reps     = fs.Int("reps", 1, "timed repetitions per experiment")
 		warmup   = fs.Int("warmup", 0, "untimed warmup passes per experiment")
-		scale    = fs.Int("scale", 0, "dataset size per region (0 = suite/package default, paper: 32M)")
+		scale    = fs.Int("scale", 0, "dataset size per region (0 = default 100,000, paper: 32M)")
 		queries  = fs.Int("queries", 0, "range-query workload size (0 = default, paper: 20,000)")
 		points   = fs.Int("points", 0, "point-query workload size (0 = default, paper: 50,000)")
 		leaf     = fs.Int("leaf", 0, "leaf page capacity L (0 = default 256)")
@@ -55,12 +55,9 @@ func cmdRun(args []string) int {
 		cfg.Regions = rs
 	}
 
-	ids, suiteName, code := selectExperiments(*suite, *exp)
+	exps, suiteName, code := selectExperiments(*suite, *exp)
 	if code != 0 {
 		return code
-	}
-	if s, ok := bench.SuiteByName(suiteName); ok {
-		cfg = s.ApplyDefaults(cfg)
 	}
 	// Record the effective configuration, not the zero-valued flag struct,
 	// so the report is self-describing.
@@ -71,8 +68,7 @@ func cmdRun(args []string) int {
 		reporters = append(reporters, &harness.JSONReporter{Path: *jsonPath})
 	}
 	run := harness.NewRun(harness.Options{Suite: suiteName, Warmup: *warmup, Reps: *reps}, cfg, reporters...)
-	for _, id := range ids {
-		e, _ := bench.ExperimentByID(id)
+	for _, e := range exps {
 		run.Experiment(e.ID, func() []bench.Table { return e.Run(cfg) })
 	}
 	if _, err := run.Finish(); err != nil {
@@ -85,11 +81,12 @@ func cmdRun(args []string) int {
 	return 0
 }
 
-// selectExperiments resolves the -suite/-exp selection into experiment
-// ids and the suite name recorded in the report. Unknown suite names and
-// unknown experiment ids are usage errors (exit code 2) — never silently
-// skipped.
-func selectExperiments(suite, exp string) (ids []string, suiteName string, code int) {
+// selectExperiments resolves the -suite/-exp selection into experiments
+// and the suite name recorded in the report. Unknown suite names and
+// unknown experiment ids, whether typed or named by a suite, are usage
+// errors (exit code 2) — never silently skipped.
+func selectExperiments(suite, exp string) (exps []bench.Experiment, suiteName string, code int) {
+	var ids []string
 	switch {
 	case suite != "":
 		s, ok := bench.SuiteByName(suite)
@@ -101,19 +98,20 @@ func selectExperiments(suite, exp string) (ids []string, suiteName string, code 
 			fmt.Fprintf(os.Stderr, "waziexp run: unknown suite %q (want %s)\n", suite, strings.Join(names, ", "))
 			return nil, "", 2
 		}
-		return s.Experiments, s.Name, 0
+		ids, suiteName = s.Experiments, s.Name
 	case exp == "" || exp == "all":
 		s, _ := bench.SuiteByName("full")
-		return s.Experiments, "full", 0
+		ids, suiteName = s.Experiments, s.Name
 	default:
-		for _, id := range strings.Split(exp, ",") {
-			id = strings.TrimSpace(id)
-			if _, ok := bench.ExperimentByID(id); !ok {
-				fmt.Fprintf(os.Stderr, "waziexp run: unknown experiment %q; use `waziexp list`\n", id)
-				return nil, "", 2
-			}
-			ids = append(ids, id)
-		}
-		return ids, "custom", 0
+		ids, suiteName = strings.Split(exp, ","), "custom"
 	}
+	for _, id := range ids {
+		e, ok := bench.ExperimentByID(strings.TrimSpace(id))
+		if !ok {
+			fmt.Fprintf(os.Stderr, "waziexp run: unknown experiment %q; use `waziexp list`\n", id)
+			return nil, "", 2
+		}
+		exps = append(exps, e)
+	}
+	return exps, suiteName, 0
 }

@@ -1,11 +1,12 @@
 // Package bench is the experiment engine that regenerates every table and
 // figure of the paper's evaluation section (§6) on the synthetic region
-// datasets, plus the serving-layer experiments this repository adds.
-// Each experiment is a function from a Config to one or more Tables;
-// cmd/waziexp runs them under internal/bench/harness (warmup,
-// repetitions, summary statistics, JSON reports), bench_test.go wraps
-// them in testing.B benchmarks, and Suites groups them into named runs
-// (smoke, paper, serving, full).
+// datasets, plus two serving-layer experiments this repository adds
+// (HTTP serving and online repartitioning). Each experiment is a function
+// from a Config to one or more Tables; cmd/waziexp runs them under
+// internal/bench/harness (warmup, repetitions, summary statistics, JSON
+// reports), bench_test.go wraps them in testing.B benchmarks, and Suites
+// groups them into named runs (paper, serving, full). The serving stack's
+// performance is measured by the benchmark (./benchmark), not here.
 //
 // Scale note: the paper runs 4–64 million points and 20,000 queries on a
 // C++ testbed. The defaults here are scaled down (see Config) so the full

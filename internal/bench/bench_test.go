@@ -49,6 +49,41 @@ func TestAllExperimentsProduceTables(t *testing.T) {
 	}
 }
 
+// TestSuitesNameKnownExperiments: every id a suite names resolves to an
+// experiment, and no suite names one twice.
+func TestSuitesNameKnownExperiments(t *testing.T) {
+	for _, s := range Suites() {
+		seen := map[string]bool{}
+		for _, id := range s.Experiments {
+			if _, ok := ExperimentByID(id); !ok {
+				t.Errorf("suite %s names unknown experiment %q", s.Name, id)
+			}
+			if seen[id] {
+				t.Errorf("suite %s names %q twice", s.Name, id)
+			}
+			seen[id] = true
+		}
+	}
+}
+
+// TestFig12DriftsToAnotherRegion: with one region configured, the skewed
+// drift panel targets a different region's hotspots, not the training
+// region's own.
+func TestFig12DriftsToAnotherRegion(t *testing.T) {
+	cfg := Config{Scale: 2_000, Queries: 40, PointQueries: 10, LeafSize: 64, Regions: []dataset.Region{dataset.Japan}}
+	title := Fig12WorkloadDrift(cfg)[1].Title
+	if strings.Contains(title, dataset.Japan.String()) {
+		t.Fatalf("drift target is the training region: %q", title)
+	}
+	named := false
+	for _, r := range dataset.Regions() {
+		named = named || strings.Contains(title, "change to "+r.String()+" ")
+	}
+	if !named {
+		t.Fatalf("title names no region: %q", title)
+	}
+}
+
 func TestBuildIndexAllNames(t *testing.T) {
 	cfg := tinyConfig()
 	w := MakeWorkloads(dataset.CaliNev, 3_000, cfg)

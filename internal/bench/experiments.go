@@ -38,14 +38,8 @@ func Experiments() []Experiment {
 		{"fig11", "insert latency and post-insert range latency", Fig11Inserts},
 		{"fig12", "range latency under workload drift", Fig12WorkloadDrift},
 		{"fig13", "skipping/partitioning ablation", Fig13Ablation},
-		{"sharded", "Concurrent vs Sharded throughput by goroutines", ShardedThroughput},
-		{"scenarios", "Sharded under the named workload suites", ScenarioSuite},
 		{"serving-http", "HTTP serving: per-request vs batched replay over the wire", ServingHTTP},
-		{"storage-backends", "range latency: in-memory vs disk-cold vs disk-warm page stores", StorageBackends},
 		{"repartition", "online repartitioning vs static plan under hotspot-shift", RepartitionExperiment},
-		{"obs-overhead", "per-op latency with observability instruments on vs off", ObsOverhead},
-		{"durability", "write latency under WAL durability policies (off / group-commit / fsync-always)", Durability},
-		{"kernel-allocs", "steady-state query-kernel allocations on the RAM backend (exact-class, ratcheted to zero)", KernelAllocs},
 	}
 }
 
@@ -511,9 +505,14 @@ func Fig11Inserts(cfg Config) []Table {
 func Fig12WorkloadDrift(cfg Config) []Table {
 	cfg.fill()
 	r := cfg.Regions[0]
+	// The skewed change drifts toward another region's hotspots, never the
+	// training region's own: the last configured region, or with only one,
+	// the first other region.
 	other := cfg.Regions[len(cfg.Regions)-1]
-	if other == r {
-		other = dataset.Japan
+	for _, o := range dataset.Regions() {
+		if other == r {
+			other = o
+		}
 	}
 	w := MakeWorkloads(r, cfg.Scale, cfg)
 	qs := w.BySelectivity[MidSelectivity]

@@ -1,12 +1,11 @@
 // Package harness wraps the repository's experiments in a reproducible
 // benchmarking discipline: warmup passes, N timed repetitions, summary
 // statistics (mean, p50/p95/p99, stddev, 95% confidence interval),
-// environment metadata, and machine-readable JSON reports that can be
-// diffed across commits or configurations with Compare.
+// environment metadata, and machine-readable JSON reports.
 //
 // The design follows golang/benchmarks' bent/benchfmt split: experiments
 // stay simple functions that produce Tables, while the harness owns
-// repetition, statistics, serialization, and comparison. Every numeric
+// repetition, statistics, and serialization. Every numeric
 // cell of every table becomes a named metric whose samples are collected
 // across repetitions; an experiment's wall time is a metric too. Reporters
 // consume the stream of results: TextReporter renders tables and summary
@@ -44,20 +43,18 @@ func (o *Options) fill() {
 // Metric is one named measurement with its per-repetition samples and
 // their summary statistics. Names are stable across runs of the same
 // experiment set — `<experiment>/t<table#>/<row label>/<column header>` —
-// so Compare can match metrics between two reports.
+// so the same metric can be found in two reports.
 type Metric struct {
 	Name string `json:"name"`
 	// Unit is inferred from the table's column header and title ("ns",
 	// "q/s", "s", "MB", "%", "x"); empty when unknown.
 	Unit string `json:"unit,omitempty"`
-	// HigherIsBetter steers regression detection: true for throughput-like
-	// metrics, false for latency/size/time-like ones (the default).
+	// HigherIsBetter tells a reader of the report which direction is good:
+	// true for throughput-like metrics, false for latency/size/time-like
+	// ones (the default).
 	HigherIsBetter bool `json:"higher_is_better,omitempty"`
-	// Class groups metrics for per-class regression thresholds: empty (the
-	// default) for table-mined latency/throughput metrics, ClassResource
-	// for the harness's allocation/GC accounting. Readers predating the
-	// field decode it away harmlessly; writers omit it when empty, so old
-	// and new reports stay mutually readable within wazi-bench/v1.
+	// Class is empty for table-mined metrics and ClassResource for the
+	// harness's allocation/GC accounting; writers omit it when empty.
 	Class   string    `json:"class,omitempty"`
 	Samples []float64 `json:"samples"`
 	Summary Summary   `json:"summary"`
@@ -193,7 +190,6 @@ func (a *metricAccumulator) addTables(expID string, tables []Table) {
 						Name:           name,
 						Unit:           inferUnit(t.Title, t.Header[ci], row[ci]),
 						HigherIsBetter: inferHigherBetter(t.Title, t.Header[ci]),
-						Class:          t.Class,
 					}
 					a.byKey[name] = m
 					a.order = append(a.order, name)

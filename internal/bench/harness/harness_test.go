@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -102,10 +103,7 @@ func TestJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := readReport(t, path)
 	if got.Schema != SchemaVersion || got.Suite != "roundtrip" {
 		t.Fatalf("header: %q %q", got.Schema, got.Suite)
 	}
@@ -126,15 +124,18 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadFileRejectsBadSchema(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.json")
-	r := &Report{Schema: "other/v9", Suite: "x"}
-	if err := r.WriteFile(path); err != nil {
+// readReport decodes a report file written by WriteFile.
+func readReport(t *testing.T, path string) *Report {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadFile(path); err == nil || !strings.Contains(err.Error(), "schema") {
-		t.Fatalf("schema mismatch not rejected: %v", err)
+	var r Report
+	if err := json.Unmarshal(data, &r); err != nil {
+		t.Fatal(err)
 	}
+	return &r
 }
 
 func TestJSONReporterWriter(t *testing.T) {

@@ -7,7 +7,7 @@ import (
 )
 
 // SchemaVersion identifies the report format; bump it on breaking changes
-// so compare can refuse mismatched files instead of mis-reading them.
+// so readers can refuse mismatched files instead of mis-reading them.
 const SchemaVersion = "wazi-bench/v1"
 
 // Report is the machine-readable outcome of one harness run — the content
@@ -16,100 +16,11 @@ type Report struct {
 	Schema string `json:"schema"`
 	Suite  string `json:"suite"`
 	// Config records the experiment configuration the run used; it is
-	// written as-is and read back as generic JSON.
+	// written as-is.
 	Config    any         `json:"config,omitempty"`
 	Env       Environment `json:"env"`
 	Results   []Result    `json:"results"`
 	ElapsedNS int64       `json:"elapsed_ns"`
-	// Extra holds top-level fields this version of the reader does not
-	// know about, preserved verbatim through a read→write cycle. It keeps
-	// wazi-bench/v1 forward-compatible within the major version: a newer
-	// writer may add columns (e.g. server-side metrics sections) and an
-	// older `waziexp compare` still round-trips them instead of silently
-	// dropping them.
-	Extra map[string]json.RawMessage `json:"-"`
-}
-
-// reportAlias avoids recursion inside the custom JSON codecs.
-type reportAlias Report
-
-// knownReportFields are the top-level keys owned by the typed struct.
-var knownReportFields = map[string]bool{
-	"schema": true, "suite": true, "config": true,
-	"env": true, "results": true, "elapsed_ns": true,
-}
-
-// UnmarshalJSON decodes the known fields into the struct and captures any
-// unknown top-level fields in Extra.
-func (r *Report) UnmarshalJSON(data []byte) error {
-	var a reportAlias
-	if err := json.Unmarshal(data, &a); err != nil {
-		return err
-	}
-	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return err
-	}
-	for k := range raw {
-		if knownReportFields[k] {
-			continue
-		}
-		if a.Extra == nil {
-			a.Extra = map[string]json.RawMessage{}
-		}
-		a.Extra[k] = raw[k]
-	}
-	*r = Report(a)
-	return nil
-}
-
-// MarshalJSON writes the known fields and merges Extra back in. An Extra
-// key colliding with a known field is dropped — the typed value wins.
-func (r Report) MarshalJSON() ([]byte, error) {
-	data, err := json.Marshal(reportAlias(r))
-	if err != nil {
-		return nil, err
-	}
-	if len(r.Extra) == 0 {
-		return data, nil
-	}
-	var merged map[string]json.RawMessage
-	if err := json.Unmarshal(data, &merged); err != nil {
-		return nil, err
-	}
-	for k, v := range r.Extra {
-		if knownReportFields[k] {
-			continue
-		}
-		merged[k] = v
-	}
-	return json.Marshal(merged)
-}
-
-// FindResult returns the report's result for an experiment id, or nil.
-func (r *Report) FindResult(experiment string) *Result {
-	for i := range r.Results {
-		if r.Results[i].Experiment == experiment {
-			return &r.Results[i]
-		}
-	}
-	return nil
-}
-
-// Metrics returns every metric in the report keyed by name, in report
-// order.
-func (r *Report) Metrics() ([]string, map[string]Metric) {
-	var order []string
-	byName := map[string]Metric{}
-	for _, res := range r.Results {
-		for _, m := range res.Metrics {
-			if _, ok := byName[m.Name]; !ok {
-				order = append(order, m.Name)
-			}
-			byName[m.Name] = m
-		}
-	}
-	return order, byName
 }
 
 // WriteFile writes the report as indented JSON to path.
@@ -119,21 +30,4 @@ func (r *Report) WriteFile(path string) error {
 		return fmt.Errorf("harness: marshal report: %w", err)
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ReadFile loads a report written by WriteFile and validates its schema
-// tag.
-func ReadFile(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("harness: parse %s: %w", path, err)
-	}
-	if r.Schema != SchemaVersion {
-		return nil, fmt.Errorf("harness: %s has schema %q, want %q", path, r.Schema, SchemaVersion)
-	}
-	return &r, nil
 }

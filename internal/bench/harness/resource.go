@@ -5,21 +5,10 @@ import (
 	"runtime"
 )
 
-// Metric classes. The class steers which regression threshold a ratchet
-// applies: latency-class metrics (the default, empty class — everything
-// mined from experiment tables) are timing-noisy and get a loose gate,
-// while resource-class metrics (allocation and GC accounting captured by
-// the harness itself) are near-deterministic and get a tight one.
-const (
-	// ClassResource marks allocation/GC accounting metrics emitted by the
-	// harness around every timed repetition.
-	ClassResource = "resource"
-	// ClassExact marks metrics that are deterministic by construction —
-	// counters a ratchet can hold to an exact value across machines, such
-	// as the steady-state allocs/op of the zero-allocation query kernel.
-	// Experiments opt tables in via Table.Class.
-	ClassExact = "exact"
-)
+// ClassResource marks allocation/GC accounting metrics emitted by the
+// harness around every timed repetition; metrics mined from experiment
+// tables carry no class.
+const ClassResource = "resource"
 
 // resourceSample is the runtime.MemStats delta over one timed repetition:
 // what the repetition allocated and what the garbage collector did while it

@@ -1,9 +1,6 @@
 package harness
 
 import (
-	"bytes"
-	"encoding/json"
-	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -46,8 +43,7 @@ func TestExperimentEmitsResourceMetrics(t *testing.T) {
 	if got := res.ResourceMetric("alloc-bytes-op").Summary.Mean; got < allocsPerRep*1024 {
 		t.Errorf("alloc-bytes-op mean = %.0f, want >= %d explicitly allocated bytes", got, allocsPerRep*1024)
 	}
-	// Table-mined metrics must keep the default (latency) class, or the
-	// ratchet would gate timing with the tight resource threshold.
+	// Table-mined metrics carry no class.
 	for _, m := range res.Metrics {
 		if strings.Contains(m.Name, "/t0/") && m.Class != "" {
 			t.Errorf("table metric %s has class %q, want empty (latency)", m.Name, m.Class)
@@ -56,9 +52,7 @@ func TestExperimentEmitsResourceMetrics(t *testing.T) {
 }
 
 // TestResourceMetricsRoundTrip writes a resource-bearing report through the
-// JSON reporter and reads it back with the unknown-field-preserving reader:
-// the class tag and samples survive, and unknown top-level fields written
-// by an even newer tool still ride along.
+// JSON reporter and reads it back: the class tag and samples survive.
 func TestResourceMetricsRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_res.json")
 	run := NewRun(Options{Suite: "res", Reps: 2}, nil, &JSONReporter{Path: path})
@@ -67,110 +61,11 @@ func TestResourceMetricsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := r.Results[0].ResourceMetric("allocs-op")
+	m := readReport(t, path).Results[0].ResourceMetric("allocs-op")
 	if m == nil {
 		t.Fatal("allocs-op did not survive the JSON round trip")
 	}
 	if m.Class != ClassResource || len(m.Samples) != 2 {
 		t.Fatalf("round-tripped metric: class %q, %d samples", m.Class, len(m.Samples))
-	}
-
-	// Graft an unknown top-level field (a future writer's section), rewrite,
-	// re-read: resource metrics and the foreign field must both survive.
-	r.Extra = map[string]json.RawMessage{"future_section": json.RawMessage(`{"x":1}`)}
-	if err := r.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Results[0].ResourceMetric("allocs-op") == nil {
-		t.Fatal("resource metric lost when Extra fields present")
-	}
-	if _, ok := back.Extra["future_section"]; !ok {
-		t.Fatal("unknown top-level field dropped from a resource-bearing report")
-	}
-}
-
-// mkClassReport builds a one-experiment report with one latency metric and
-// one resource metric at the given means.
-func mkClassReport(latency, allocs float64, withResource bool) *Report {
-	ms := []Metric{{
-		Name: "e/t0/row/col", Unit: "ns",
-		Samples: []float64{latency}, Summary: Summarize([]float64{latency}),
-	}}
-	if withResource {
-		ms = append(ms, Metric{
-			Name: "e/resource/allocs-op", Unit: "allocs", Class: ClassResource,
-			Samples: []float64{allocs}, Summary: Summarize([]float64{allocs}),
-		})
-	}
-	return &Report{Schema: SchemaVersion, Suite: "smoke",
-		Results: []Result{{Experiment: "e", Metrics: ms}}}
-}
-
-// TestCompareWithClassThresholds pins the per-class gating: the same +40%
-// change trips the tight resource gate but stays inside the loose latency
-// gate, and an infinite threshold disables a class entirely.
-func TestCompareWithClassThresholds(t *testing.T) {
-	old := mkClassReport(100, 1000, true)
-	cur := mkClassReport(140, 1400, true) // both +40%
-
-	c := CompareWith(old, cur, Thresholds{
-		Default: 0.50,
-		ByClass: map[string]float64{ClassResource: 0.35},
-	})
-	if len(c.Deltas) != 2 {
-		t.Fatalf("deltas = %d, want 2", len(c.Deltas))
-	}
-	byName := map[string]Delta{}
-	for _, d := range c.Deltas {
-		byName[d.Metric] = d
-	}
-	if d := byName["e/t0/row/col"]; d.Verdict != Within || d.Class != "" {
-		t.Errorf("latency delta = %+v, want within the 50%% gate with empty class", d)
-	}
-	if d := byName["e/resource/allocs-op"]; d.Verdict != Regression || d.Class != ClassResource {
-		t.Errorf("resource delta = %+v, want regression past the 35%% gate", d)
-	}
-	if got := c.Regressions(); got != 1 {
-		t.Errorf("Regressions() = %d, want 1", got)
-	}
-
-	// An infinite class threshold never trips — the cross-machine ratchet's
-	// "latency disabled" mode.
-	c = CompareWith(old, cur, Thresholds{
-		Default: math.Inf(1),
-		ByClass: map[string]float64{ClassResource: math.Inf(1)},
-	})
-	if got := c.Regressions(); got != 0 {
-		t.Errorf("Regressions() with infinite thresholds = %d, want 0", got)
-	}
-}
-
-// TestCompareDisjointResourceMetrics diffs a pre-resource-accounting report
-// (older writer) against a current one: the new resource metrics land in
-// OnlyInNew instead of erroring or verdicting, so old baselines keep
-// comparing.
-func TestCompareDisjointResourceMetrics(t *testing.T) {
-	old := mkClassReport(100, 0, false)
-	cur := mkClassReport(100, 1000, true)
-
-	c := Compare(old, cur, 0.10)
-	if got := c.Regressions(); got != 0 {
-		t.Fatalf("Regressions() = %d, want 0 for a disjoint resource metric", got)
-	}
-	if len(c.OnlyInNew) != 1 || c.OnlyInNew[0] != "e/resource/allocs-op" {
-		t.Fatalf("OnlyInNew = %v, want the resource metric", c.OnlyInNew)
-	}
-	var buf bytes.Buffer
-	c.WriteText(&buf, true)
-	if !strings.Contains(buf.String(), "only in new report") {
-		t.Errorf("WriteText does not surface the one-sided metric:\n%s", buf.String())
 	}
 }

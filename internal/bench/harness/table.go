@@ -16,12 +16,6 @@ type Table struct {
 	Header []string   `json:"header"`
 	Rows   [][]string `json:"rows"`
 	Notes  []string   `json:"notes,omitempty"`
-	// Class, when set, is stamped onto every metric mined from this table,
-	// steering which regression threshold a ratchet applies to them. Leave
-	// empty for timing-noisy measurements (the default latency gate); set
-	// ClassExact for counters that are deterministic by construction, such
-	// as the allocation counts of the kernel-allocs experiment.
-	Class string `json:"class,omitempty"`
 }
 
 // String renders the table as aligned plain text.

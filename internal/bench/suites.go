@@ -1,18 +1,12 @@
 package bench
 
-import "github.com/wazi-index/wazi/internal/dataset"
-
-// Suite is a named set of experiments with suite-level scaling defaults,
-// selectable as `waziexp run -suite <name>`. Defaults apply only where the
-// caller left the corresponding Config field unset, so command-line flags
-// always win.
+// Suite is a named set of experiments, selectable as
+// `waziexp run -suite <name>`.
 type Suite struct {
 	Name        string
 	Description string
 	// Experiments lists the experiment ids the suite runs, in order.
 	Experiments []string
-	// Defaults are merged into a zero-valued Config field by field.
-	Defaults Config
 }
 
 // Suites returns the named experiment suites.
@@ -21,18 +15,8 @@ func Suites() []Suite {
 		"tab1", "tab2", "fig4", "fig6", "fig7", "fig8", "fig9", "fig10",
 		"tab3", "tab4", "tab5", "fig11", "fig12", "fig13",
 	}
+	serving := []string{"serving-http", "repartition"}
 	return []Suite{
-		{
-			Name:        "smoke",
-			Description: "fast end-to-end pass for CI: a table, a drift figure, and the scenario suite at toy scale",
-			Experiments: []string{"tab2", "fig12", "scenarios"},
-			Defaults: Config{
-				Scale:        20_000,
-				Queries:      400,
-				PointQueries: 1_000,
-				Regions:      []dataset.Region{dataset.NewYork},
-			},
-		},
 		{
 			Name:        "paper",
 			Description: "every table and figure of the paper's evaluation (§6)",
@@ -40,13 +24,13 @@ func Suites() []Suite {
 		},
 		{
 			Name:        "serving",
-			Description: "the serving-layer experiments: Concurrent vs Sharded throughput, the workload scenario suite, HTTP serving, storage backends, and online repartitioning",
-			Experiments: []string{"sharded", "scenarios", "serving-http", "storage-backends", "repartition", "obs-overhead", "durability"},
+			Description: "the serving-layer experiments: HTTP serving and online repartitioning",
+			Experiments: serving,
 		},
 		{
 			Name:        "full",
 			Description: "everything: the paper evaluation plus the serving-layer experiments",
-			Experiments: append(append([]string{}, paper...), "sharded", "scenarios", "serving-http", "storage-backends", "repartition", "obs-overhead", "durability"),
+			Experiments: append(append([]string{}, paper...), serving...),
 		},
 	}
 }
@@ -59,29 +43,4 @@ func SuiteByName(name string) (Suite, bool) {
 		}
 	}
 	return Suite{}, false
-}
-
-// ApplyDefaults fills cfg's zero-valued fields from the suite's defaults;
-// anything still unset afterwards falls back to the package defaults at
-// run time.
-func (s Suite) ApplyDefaults(cfg Config) Config {
-	if cfg.Scale <= 0 {
-		cfg.Scale = s.Defaults.Scale
-	}
-	if cfg.Queries <= 0 {
-		cfg.Queries = s.Defaults.Queries
-	}
-	if cfg.PointQueries <= 0 {
-		cfg.PointQueries = s.Defaults.PointQueries
-	}
-	if cfg.LeafSize <= 0 {
-		cfg.LeafSize = s.Defaults.LeafSize
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = s.Defaults.Seed
-	}
-	if len(cfg.Regions) == 0 {
-		cfg.Regions = append([]dataset.Region{}, s.Defaults.Regions...)
-	}
-	return cfg
 }

@@ -10,13 +10,13 @@ import (
 
 // Suite is a named, reproducible workload scenario: a deterministic query
 // generator plus the fraction of operations that are writes. Suites give
-// the serving-layer experiments scenario diversity beyond the paper's
-// skewed check-in workload — a uniform baseline, a tighter Gaussian skew,
-// drift mid-stream, mixed read/write traffic, and an adversarial shape
-// that fights the Z-order curve.
+// load replays scenario diversity beyond the paper's skewed check-in
+// workload — a uniform baseline, a tighter Gaussian skew, drift
+// mid-stream, mixed read/write traffic, and an adversarial shape that
+// fights the Z-order curve.
 type Suite struct {
-	// Name identifies the suite in experiment tables, metric names, and
-	// the waziexp command line.
+	// Name identifies the suite in load tables, metric names, and the
+	// waziload command line.
 	Name string
 	// Description is a one-line human explanation.
 	Description string

@@ -10,8 +10,8 @@ import (
 // phase clock it runs against and the list of shards it targets. Arenas are
 // pooled, so a pooled arena re-pointed at a new query allocates nothing —
 // not the target list, and not the interface value that makes the arena a
-// kNN query's core.RangeSource — which is the property the kernel-allocs
-// experiment ratchets.
+// kNN query's core.RangeSource — which TestQueryKernelAllocatesNothing
+// holds to zero.
 //
 // An arena is owned by exactly one query, and so by one goroutine, from get
 // to release: a fan-out is a loop over the targets on the caller.

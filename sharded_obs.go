@@ -77,8 +77,8 @@ func (o *ShardedObs) observeScan(d time.Duration) {
 
 // WithoutObservability disables the per-query instruments (fan-out and
 // latency histograms). A phase clock handed in via View.SetPhases still
-// runs. This exists for the obs-overhead benchmark, which measures the
-// instrumented hot path against this configuration.
+// runs. This exists for the benchmark's obs.overhead_x row, which measures
+// the instrumented hot path against this configuration.
 func WithoutObservability() ShardedOption {
 	return func(c *shardedConfig) { c.noObs = true }
 }
@@ -149,7 +149,7 @@ func (m ioMark) attribute(snap *shardedSnapshot, ph *obs.Phases) {
 // request's phase clock). Callers pair it with endScan, skipped when live is
 // false. The pair is deliberately not a returned closure — a closure per
 // shard scan is a heap allocation on the hottest path in the system, which
-// the kernel-allocs experiment ratchets to zero.
+// TestQueryKernelAllocatesNothing holds to zero.
 func (s *Sharded) scanStart(ph *obs.Phases) (t0 time.Time, live bool) {
 	if ph == nil && s.obs == nil {
 		return time.Time{}, false

@@ -18,10 +18,10 @@
 //
 // The index supports range, point, and k-nearest-neighbour queries, point
 // inserts and deletes, serialization (Save/Load), and detailed access
-// statistics for performance analysis. For concurrent use, wrap it in a
-// Concurrent index — or, for parallel serving at scale, partition the data
-// across per-shard indexes with Sharded, which adds fan-out query
-// execution and zero-downtime drift-triggered rebuilds on top.
+// statistics for performance analysis. For concurrent reads and writes,
+// partition the data across per-shard indexes with Sharded, which adds
+// lock-free reads, fan-out query execution and zero-downtime
+// drift-triggered rebuilds on top.
 package wazi
 
 import (
@@ -56,7 +56,7 @@ func NewRect(a, b Point) Rect { return geom.NewRect(a, b) }
 // Index is a built Z-index instance — either workload-aware (WaZI) or the
 // base variant. Queries may run from multiple goroutines as long as no
 // Insert or Delete runs concurrently; for mixed read/write concurrency see
-// Concurrent and Sharded.
+// Sharded.
 type Index struct {
 	z *core.ZIndex
 }

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"sync"
 	"testing"
 
 	wazi "github.com/wazi-index/wazi"
@@ -202,46 +201,6 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()/2]
 	if _, err := wazi.Load(bytes.NewReader(trunc)); err == nil {
 		t.Error("Load must reject a truncated snapshot")
-	}
-}
-
-func TestConcurrentAccess(t *testing.T) {
-	pts := testData(3000, 16)
-	idx, err := wazi.NewWorkloadAware(pts, testWorkload(100, 17), wazi.WithLeafSize(64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := wazi.NewConcurrent(idx)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 200; i++ {
-				switch rng.Intn(4) {
-				case 0:
-					c.Insert(wazi.Point{X: rng.Float64(), Y: rng.Float64()})
-				case 1:
-					c.PointQuery(wazi.Point{X: rng.Float64(), Y: rng.Float64()})
-				case 2:
-					r := wazi.NewRect(
-						wazi.Point{X: rng.Float64(), Y: rng.Float64()},
-						wazi.Point{X: rng.Float64(), Y: rng.Float64()},
-					)
-					c.RangeQuery(r)
-				default:
-					c.KNN(wazi.Point{X: rng.Float64(), Y: rng.Float64()}, 3)
-				}
-			}
-		}(int64(g))
-	}
-	wg.Wait()
-	if c.Len() < 3000 {
-		t.Errorf("Len after concurrent inserts = %d", c.Len())
-	}
-	if c.Snapshot().RangeQueries == 0 {
-		t.Error("stats not recorded under concurrency")
 	}
 }
 

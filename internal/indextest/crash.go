@@ -13,24 +13,28 @@ import (
 var ErrCrashed = errors.New("indextest: simulated crash")
 
 // CrashFS implements wal.FS over the real filesystem with a crash injected
-// at the k-th mutating IO operation (segment create, record write, fsync,
-// segment remove, directory sync — every durability boundary of the log).
-// At the crash point the operation fails, every later operation fails, and
-// what remains on disk depends on the model:
+// at the k-th mutating IO operation (segment create, record append, fsync,
+// segment truncate and remove, directory sync — every durability boundary
+// of the log). A segment's mapping is a buffer in memory standing for the
+// page cache: the log stores records into it, announces each append, and
+// Sync writes the stored bytes to the backing file and fsyncs it. At the
+// crash point the operation fails, every later operation fails, and what
+// reaches the backing files depends on the model:
 //
-//   - Process crash (PowerLoss false): writes pass straight through, so
-//     everything written before the crash survives — kill -9 semantics,
-//     where the page cache outlives the process. With TearWrites, the
-//     crashing write leaves a half-written record.
+//   - Process crash (PowerLoss false): every store survives — kill -9
+//     semantics, where the page cache outlives the process. With
+//     TearWrites, the append that crashes leaves half its record behind;
+//     without, none of it.
 //
-//   - Power loss (PowerLoss true): writes are buffered per file and only
-//     reach the backing file on Sync — un-synced data is lost at the
-//     crash. With TearWrites, a half of each pending buffer is flushed
-//     instead, leaving a torn un-synced tail; without, the cut is clean at
-//     the last fsync.
+//   - Power loss (PowerLoss true): only the stores an fsync covered
+//     survive. With TearWrites, the dying OS also wrote back a prefix of
+//     the unsynced range in whole 4 KiB pages (the first half of the dirty
+//     pages, rounded up), so the tail may be torn mid-record; without, the
+//     cut is clean at the last fsync.
 //
-// Recovery then opens the same directory with the real filesystem and must
-// restore exactly the acknowledged writes. Create one CrashFS per
+// A segment is created at its full reservation, zeros on disk, as the log's
+// own are. Recovery then opens the same directory with the real filesystem
+// and must restore exactly the acknowledged writes. Create one CrashFS per
 // simulated process lifetime; it is safe for concurrent use.
 type CrashFS struct {
 	// PowerLoss and TearWrites select the crash model above. Set before
@@ -44,6 +48,10 @@ type CrashFS struct {
 	crashed bool
 	files   []*crashFile
 }
+
+// pageBytes is the unit in which the power-loss model writes back dirty
+// stores.
+const pageBytes = 4096
 
 // NewCrashFS returns a CrashFS that crashes at the k-th counted IO
 // operation (0-based); a negative k never crashes, which is how a harness
@@ -74,51 +82,59 @@ func (c *CrashFS) step() error {
 	}
 	if c.ops == c.crashAt {
 		c.crashed = true
-		c.spillLocked()
+		for _, f := range c.files {
+			f.spill()
+		}
 		return ErrCrashed
 	}
 	c.ops++
 	return nil
 }
 
-// spillLocked materializes the crash's on-disk outcome for every open
-// file's pending buffer: a torn prefix under TearWrites, nothing
-// otherwise. Only meaningful under PowerLoss; the process-crash model has
-// no pending buffers.
-func (c *CrashFS) spillLocked() {
-	if !c.PowerLoss {
-		return
-	}
-	for _, f := range c.files {
-		if len(f.buf) == 0 {
-			continue
-		}
-		if c.TearWrites {
-			f.backing.Write(f.buf[:len(f.buf)/2])
-		}
-		f.buf = nil
-	}
-}
-
 type crashFile struct {
 	fs      *CrashFS
 	backing *os.File
-	buf     []byte // pending un-synced writes (PowerLoss model only)
+	data    []byte // the mapping: the page cache's view of the segment
+	synced  int64  // data[:synced] is on the backing file and stable
+	stored  int64  // data[:stored] holds every announced append
+	closed  bool
 }
 
-// OpenFile counts as a kill point: creating a segment is a durability
+// spill writes to the backing file what of the unsynced stores the crash
+// leaves there. Called with c.mu held, once, at the crash.
+func (f *crashFile) spill() {
+	c, end := f.fs, f.stored
+	if f.closed || end <= f.synced {
+		return
+	}
+	if c.PowerLoss {
+		if !c.TearWrites {
+			return
+		}
+		first := f.synced / pageBytes
+		dirty := (end+pageBytes-1)/pageBytes - first
+		end = min(end, (first+(dirty+1)/2)*pageBytes)
+	}
+	f.backing.WriteAt(f.data[f.synced:end], f.synced)
+}
+
+// Create counts as a kill point: creating a segment is a durability
 // boundary (its directory entry may or may not survive).
-func (c *CrashFS) OpenFile(name string, flag int, perm os.FileMode) (wal.File, error) {
+func (c *CrashFS) Create(name string, size int64) (wal.File, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.step(); err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(name, flag, perm)
+	f, err := os.OpenFile(name, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	cf := &crashFile{fs: c, backing: f}
+	if err := f.Truncate(size); err != nil {
+		f.Close()
+		return nil, err
+	}
+	cf := &crashFile{fs: c, backing: f, data: make([]byte, size)}
 	c.files = append(c.files, cf)
 	return cf, nil
 }
@@ -128,6 +144,17 @@ func (c *CrashFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(nam
 func (c *CrashFS) ReadDir(name string) ([]os.DirEntry, error) { return os.ReadDir(name) }
 
 func (c *CrashFS) MkdirAll(name string, perm os.FileMode) error { return os.MkdirAll(name, perm) }
+
+// Truncate counts as a kill point: cutting a crashed segment's zero tail
+// must tolerate dying halfway through recovery.
+func (c *CrashFS) Truncate(name string, size int64) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.step(); err != nil {
+		return err
+	}
+	return os.Truncate(name, size)
+}
 
 // Remove counts as a kill point: log truncation must tolerate dying
 // between segment removals.
@@ -156,32 +183,33 @@ func (c *CrashFS) SyncDir(name string) error {
 	return d.Sync()
 }
 
-// Write counts as a kill point. Under TearWrites the crashing write leaves
-// half the record behind (process crash) or half-buffered (power loss, the
-// half that spillLocked may then tear again — any prefix is a legal crash
-// outcome).
-func (f *crashFile) Write(p []byte) (int, error) {
+func (f *crashFile) Data() []byte { return f.data }
+
+// Appended counts each append as a kill point. The log has already stored
+// the record when it announces it, so the append that trips the crash
+// takes back what the crash model says never landed: the second half of
+// the record under TearWrites, all of it otherwise.
+func (f *crashFile) Appended(off, end int64) error {
 	c := f.fs
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	wasCrashed := c.crashed
-	if err := c.step(); err != nil {
-		if c.TearWrites && !wasCrashed {
-			// The write that trips the crash tears: its first half lands
-			// on disk (in the power-loss model that half-page counts as
-			// flushed by the dying OS — a legal crash outcome either way).
-			f.backing.Write(p[:len(p)/2])
+	if c.crashed {
+		return ErrCrashed
+	}
+	if c.ops == c.crashAt {
+		cut := off
+		if c.TearWrites {
+			cut = off + (end-off)/2
 		}
-		return 0, err
+		clear(f.data[cut:end])
+		f.stored = cut
+	} else {
+		f.stored = end
 	}
-	if c.PowerLoss {
-		f.buf = append(f.buf, p...)
-		return len(p), nil
-	}
-	return f.backing.Write(p)
+	return c.step()
 }
 
-// Sync counts as a kill point: the crash fires before any pending data
+// Sync counts as a kill point: the crash fires before any unsynced store
 // reaches the backing file, so an acknowledgement gated on this fsync is
 // never issued for data that was lost.
 func (f *crashFile) Sync() error {
@@ -191,35 +219,35 @@ func (f *crashFile) Sync() error {
 	if err := c.step(); err != nil {
 		return err
 	}
-	if len(f.buf) > 0 {
-		if _, err := f.backing.Write(f.buf); err != nil {
-			return err
-		}
-		f.buf = nil
+	if err := f.flush(); err != nil {
+		return err
 	}
 	return f.backing.Sync()
 }
 
+// flush writes the unsynced stores to the backing file. Called with c.mu
+// held.
+func (f *crashFile) flush() error {
+	if _, err := f.backing.WriteAt(f.data[f.synced:f.stored], f.synced); err != nil {
+		return err
+	}
+	f.synced = f.stored
+	return nil
+}
+
 // Close is not a kill point (closing changes no durability state). A clean
-// close flushes pending bytes to the page cache — only a crash loses them.
-func (f *crashFile) Close() error {
+// close leaves the stores in the page cache, that is on the backing file,
+// and cuts it; a crashed process cuts nothing.
+func (f *crashFile) Close(size int64) error {
 	c := f.fs
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	f.closed = true
 	if c.crashed {
 		f.backing.Close()
 		return ErrCrashed
 	}
-	if len(f.buf) > 0 {
-		if _, err := f.backing.Write(f.buf); err != nil {
-			f.backing.Close()
-			return err
-		}
-		f.buf = nil
-	}
-	return f.backing.Close()
+	return errors.Join(f.flush(), f.backing.Truncate(size), f.backing.Close())
 }
-
-func (f *crashFile) Name() string { return f.backing.Name() }
 
 var _ wal.FS = (*CrashFS)(nil)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"net/http"
@@ -118,6 +119,51 @@ func TestBatchStopsAtNonFiniteAnswer(t *testing.T) {
 		if b.inserts != tt.inserts {
 			t.Errorf("batch [%s]: %d inserts applied, want %d", tt.ops, b.inserts, tt.inserts)
 		}
+	}
+}
+
+// lostLogBackend is an answerBackend with a write log whose sticky error a
+// test sets.
+type lostLogBackend struct {
+	*answerBackend
+	err error
+}
+
+func (b *lostLogBackend) WALStats() wazi.WALStats   { return wazi.WALStats{Enabled: true} }
+func (b *lostLogBackend) TruncateWAL() (int, error) { return 0, b.err }
+func (b *lostLogBackend) WALErr() error             { return b.err }
+
+// TestWriteWithFailedLogIs503: once the write log has failed, a write is
+// applied in memory but is not durable, so it is not acknowledged. A single
+// write answers 503 in the JSON error shape, and a batch stops at the write,
+// as at a non-finite answer. Reads still answer 200.
+func TestWriteWithFailedLogIs503(t *testing.T) {
+	b := &lostLogBackend{answerBackend: &answerBackend{found: true}}
+	srv := New(b, Config{})
+	const point = `{"point":{"X":0.5,"Y":0.5}}`
+	const insert, count = `{"op":"insert","point":{"X":0.5,"Y":0.5}}`, `{"op":"count","rect":{"MinX":0,"MinY":0,"MaxX":1,"MaxY":1}}`
+	for _, route := range []string{"insert", "delete"} {
+		if rec := serveOnce(srv, "/v1/"+route, point); rec.Code != http.StatusOK {
+			t.Fatalf("%s with a healthy log: status %d, body %s", route, rec.Code, rec.Body)
+		}
+	}
+	b.err = errors.New("wal: no space left on device")
+	for _, route := range []string{"insert", "delete"} {
+		rec := serveOnce(srv, "/v1/"+route, point)
+		var v map[string]any
+		json.Unmarshal(rec.Body.Bytes(), &v)
+		if msg, _ := v["error"].(string); rec.Code != http.StatusServiceUnavailable || !strings.Contains(msg, "no space left") {
+			t.Fatalf("%s with a failed log: status %d, body %s; want 503 with the log's error", route, rec.Code, rec.Body)
+		}
+	}
+	b.inserts = 0
+	rec := serveOnce(srv, "/v1/batch", `{"ops":[`+count+`,`+insert+`,`+insert+`]}`)
+	if rec.Code != http.StatusServiceUnavailable || b.inserts != 1 {
+		t.Fatalf("batch [count, insert, insert] with a failed log: status %d, %d inserts applied; want 503 after 1",
+			rec.Code, b.inserts)
+	}
+	if rec := serveOnce(srv, "/v1/point", point); rec.Code != http.StatusOK {
+		t.Fatalf("point read with a failed log: status %d, want 200", rec.Code)
 	}
 }
 

@@ -182,6 +182,7 @@ const maxBodyBytes = 8 << 20
 // Server is the HTTP serving layer over a Backend.
 type Server struct {
 	b     Backend
+	wal   walBackend // b's write log surface; nil when b has none
 	cfg   Config
 	gate  *gate
 	mux   *http.ServeMux
@@ -214,6 +215,7 @@ func New(b Backend, cfg Config) *Server {
 		gate:  newGate(cfg.MaxInflight, cfg.MaxQueue),
 		start: time.Now(),
 	}
+	s.wal, _ = b.(walBackend)
 	s.prof = newProfiler(cfg.ProfileDir, cfg.ProfileMaxCaptures, cfg.ProfileCooldown, cfg.ProfileCPUDuration)
 	s.initObs()
 	mux := http.NewServeMux()
@@ -285,6 +287,7 @@ type request struct {
 	pts  []wazi.Point // the range or kNN answer of the op being run
 	out  []byte       // the response body: each op's answer, appended as it runs
 	inf  bool         // an answer holds ±Inf or NaN, which JSON cannot carry
+	lost error        // the write log failed: a write is not durable
 	clen [1]string    // the Content-Length header's value
 }
 
@@ -327,11 +330,16 @@ func (rq *request) fail(code int, format string, args ...any) {
 }
 
 // send writes out as the 200 answer in one Write with its Content-Length, or
-// fails the request with a 500 if an answer held ±Inf or NaN: nothing is
-// written before. The time since the last boundary is encode.
+// fails the request with a 500 if an answer held ±Inf or NaN, or with a 503
+// if a write is not durable: nothing is written before. The time since the
+// last boundary is encode.
 func (rq *request) send() {
 	if rq.inf {
 		rq.fail(http.StatusInternalServerError, "answer holds a non-finite coordinate, which JSON cannot encode")
+		return
+	}
+	if rq.lost != nil {
+		rq.fail(http.StatusServiceUnavailable, "write applied but not durable: %v", rq.lost)
 		return
 	}
 	rq.out = append(rq.out, '\n')
@@ -517,6 +525,9 @@ func (s *Server) exec(rq *request, op *workload.WireOp) {
 	}
 	if write {
 		rq.view = nil // later reads must see this write
+		if s.wal != nil {
+			rq.lost = s.wal.WALErr()
+		}
 		rq.stamp(obs.PhaseWrite)
 	} else {
 		rq.stamp(obs.PhaseFanout)
@@ -570,8 +581,9 @@ func validateBatch(ops []workload.WireOp) error {
 // re-pinned after every write, so within one batch reads observe the
 // batch's own earlier writes, and runs of consecutive reads share a
 // snapshot. The whole batch is validated before any op executes: a
-// malformed batch changes nothing. An answer that JSON cannot carry fails the
-// batch there: the ops before it have run, and none after it runs.
+// malformed batch changes nothing. An answer that JSON cannot carry, or a
+// write the log could not make durable, fails the batch there: the ops
+// before it have run, and none after it runs.
 func (s *Server) handleBatch(rq *request, r *http.Request) {
 	if !rq.decode(r, &rq.batch) {
 		return
@@ -585,7 +597,7 @@ func (s *Server) handleBatch(rq *request, r *http.Request) {
 	}
 	rq.out = append(rq.out, `{"results":[`...)
 	n := 0
-	for ; n < len(ops) && !rq.inf; n++ {
+	for ; n < len(ops) && !rq.inf && rq.lost == nil; n++ {
 		if n > 0 {
 			rq.out = append(rq.out, ',')
 		}

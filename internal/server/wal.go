@@ -14,10 +14,13 @@ import (
 
 // walBackend is the optional backend surface of durability-logging
 // backends; *wazi.Sharded (via the Sharded adapter) provides it when built
-// WithWAL, test doubles usually don't.
+// WithWAL, test doubles usually don't. WALErr is lock-free: the server
+// reads it after every write, and a write made once the log has failed is
+// not durable, so it is not acknowledged.
 type walBackend interface {
 	WALStats() wazi.WALStats
 	TruncateWAL() (int, error)
+	WALErr() error
 }
 
 // checksumBackend is the optional backend surface behind /debug/checksum:
@@ -30,11 +33,10 @@ type checksumBackend interface {
 // walStats returns the backend's WAL stats, or nil when the backend does
 // not log (or logs but has the WAL disabled).
 func (s *Server) walStats() *wazi.WALStats {
-	wb, ok := s.b.(walBackend)
-	if !ok {
+	if s.wal == nil {
 		return nil
 	}
-	st := wb.WALStats()
+	st := s.wal.WALStats()
 	if !st.Enabled {
 		return nil
 	}
@@ -44,8 +46,8 @@ func (s *Server) walStats() *wazi.WALStats {
 // truncateWAL drops WAL segments covered by the last Save; a no-op for
 // backends without a log.
 func (s *Server) truncateWAL() (int, error) {
-	if wb, ok := s.b.(walBackend); ok {
-		return wb.TruncateWAL()
+	if s.wal != nil {
+		return s.wal.TruncateWAL()
 	}
 	return 0, nil
 }
@@ -53,8 +55,8 @@ func (s *Server) truncateWAL() (int, error) {
 // registerWALMetrics exports the WAL counters under stable names. Called
 // from initObs when the backend logs.
 func (s *Server) registerWALMetrics() {
-	wb, ok := s.b.(walBackend)
-	if !ok || !wb.WALStats().Enabled {
+	wb := s.wal
+	if wb == nil || !wb.WALStats().Enabled {
 		return
 	}
 	reg := s.reg

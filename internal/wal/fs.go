@@ -1,38 +1,38 @@
 package wal
 
-import (
-	"io"
-	"os"
-)
+import "os"
 
 // FS abstracts every filesystem operation the log performs so tests can
 // substitute fault-injecting implementations (internal/indextest.CrashFS
 // kills the write path at any chosen IO boundary). Production code uses
 // OSFS.
 type FS interface {
-	// OpenFile opens name with os.OpenFile semantics.
-	OpenFile(name string, flag int, perm os.FileMode) (File, error)
-	// ReadFile returns the full contents of name.
+	// Create makes the new segment name (failing if it exists), reserves
+	// size bytes of disk for it and maps them shared and writable.
+	Create(name string, size int64) (File, error)
 	ReadFile(name string) ([]byte, error)
-	// ReadDir lists the directory entries of name.
 	ReadDir(name string) ([]os.DirEntry, error)
-	// Remove deletes name.
+	Truncate(name string, size int64) error
 	Remove(name string) error
-	// MkdirAll creates name and any missing parents.
 	MkdirAll(name string, perm os.FileMode) error
 	// SyncDir fsyncs the directory itself, making entry creation and
 	// removal durable (required after segment create/remove on POSIX).
 	SyncDir(name string) error
 }
 
-// File is the subset of *os.File the log writes through.
+// File is one segment: its reservation on disk, mapped shared and writable.
 type File interface {
-	io.Writer
-	io.Closer
-	// Sync flushes the file's data to stable storage.
+	// Data is the mapping. A store into it is a store into the page cache:
+	// it outlives the process at once, and Sync makes it durable.
+	Data() []byte
+	// Appended reports that Data[off:end] now holds a record: a no-op for
+	// the OS file, a kill point for a fault-injecting one.
+	Appended(off, end int64) error
+	// Sync flushes the file's data, stores through Data included, to
+	// stable storage.
 	Sync() error
-	// Name returns the path the file was opened with.
-	Name() string
+	// Close unmaps the file, cuts it to size bytes and closes it.
+	Close(size int64) error
 }
 
 type osFS struct{}
@@ -40,12 +40,9 @@ type osFS struct{}
 // OSFS is the real filesystem.
 var OSFS FS = osFS{}
 
-func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
-	return os.OpenFile(name, flag, perm)
-}
-
 func (osFS) ReadFile(name string) ([]byte, error)       { return os.ReadFile(name) }
 func (osFS) ReadDir(name string) ([]os.DirEntry, error) { return os.ReadDir(name) }
+func (osFS) Truncate(name string, size int64) error     { return os.Truncate(name, size) }
 func (osFS) Remove(name string) error                   { return os.Remove(name) }
 
 func (osFS) MkdirAll(name string, perm os.FileMode) error { return os.MkdirAll(name, perm) }

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -13,51 +14,51 @@ type ReplayStats struct {
 	// not.
 	Records int
 	LastSeq uint64
-	// Segments counts segment files read.
-	Segments int
-	// Torn reports that replay stopped at a torn or corrupt record with
-	// no later segment resuming the sequence — the log's tail was lost
-	// mid-append. A torn record followed by a segment that resumes
-	// exactly after the last good record is a benign interrupted append
-	// (discarded by a previous Open) and does not set Torn.
+	// Torn reports that replay stopped at bytes that are neither a record
+	// nor the zero tail, with no later segment resuming the sequence: the
+	// log's tail was lost mid-append, or corrupted. A tear that a later
+	// segment resumes after (a previous Open discarded it) is benign.
 	Torn bool
 }
+
+var zero = []byte{0}
 
 // ScanRecords decodes records from one segment's bytes, calling fn for each
 // valid record in order. The first record must carry sequence number base
 // and each record the successor of the previous. It stops at the first
-// torn or corrupt record (short header, implausible length, checksum
+// bytes that do not decode (short header, implausible length, checksum
 // mismatch, sequence break), reporting how many records were decoded and
-// whether trailing bytes were abandoned. fn's error aborts the scan and is
-// returned.
-func ScanRecords(data []byte, base uint64, fn func(seq uint64, payload []byte) error) (n int, torn bool, err error) {
+// the offset end just past them. Those bytes are the segment's clean end if
+// they are all zero — the preallocated tail, whose all-zero header no record
+// has, since sequence numbers start at 1 — and torn otherwise. fn's error
+// aborts the scan and is returned.
+func ScanRecords(data []byte, base uint64, fn func(seq uint64, payload []byte) error) (n, end int, torn bool, err error) {
 	expected := base
-	for len(data) > 0 {
-		if len(data) < headerSize {
-			return n, true, nil
+	for end < len(data) {
+		rest := data[end:]
+		if len(rest) < headerSize {
+			break
 		}
-		length := binary.LittleEndian.Uint32(data[0:4])
-		crc := binary.LittleEndian.Uint32(data[4:8])
-		seq := binary.LittleEndian.Uint64(data[8:16])
-		if length > MaxRecordBytes || int(length) > len(data)-headerSize {
-			return n, true, nil
+		length := binary.LittleEndian.Uint32(rest[0:4])
+		crc := binary.LittleEndian.Uint32(rest[4:8])
+		seq := binary.LittleEndian.Uint64(rest[8:16])
+		if length > MaxRecordBytes || int(length) > len(rest)-headerSize {
+			break
 		}
-		payload := data[headerSize : headerSize+int(length)]
-		sum := crc32.Update(0, castagnoli, data[8:16])
-		sum = crc32.Update(sum, castagnoli, payload)
-		if sum != crc || seq != expected {
-			return n, true, nil
+		payload := rest[headerSize : headerSize+int(length)]
+		if crc32.Checksum(rest[8:headerSize+int(length)], castagnoli) != crc || seq != expected {
+			break
 		}
 		if fn != nil {
 			if err := fn(seq, payload); err != nil {
-				return n, false, err
+				return n, end, false, err
 			}
 		}
 		n++
 		expected++
-		data = data[headerSize+int(length):]
+		end += headerSize + int(length)
 	}
-	return n, false, nil
+	return n, end, bytes.Count(data[end:], zero) != len(data)-end, nil
 }
 
 // Replay reads every segment in order and calls fn for each record whose
@@ -71,6 +72,8 @@ func (w *WAL) Replay(after uint64, fn func(seq uint64, payload []byte) error) (R
 	return w.replayLocked(after, fn)
 }
 
+// replayLocked is Replay. It also cuts off the zero tail a crash left on a
+// segment; Open's scan meets them all.
 func (w *WAL) replayLocked(after uint64, fn func(seq uint64, payload []byte) error) (ReplayStats, error) {
 	segs, err := w.segmentsLocked()
 	if err != nil {
@@ -87,12 +90,13 @@ func (w *WAL) replayLocked(after uint64, fn func(seq uint64, payload []byte) err
 			st.Torn = true
 			break
 		}
-		data, err := w.opts.FS.ReadFile(sg.path)
-		if err != nil {
+		var data []byte
+		if w.f != nil && sg.base == w.segBase {
+			data = w.data[:w.segBytes] // the active segment: read its mapping
+		} else if data, err = w.opts.FS.ReadFile(sg.path); err != nil {
 			return st, fmt.Errorf("reading segment %s: %w", sg.path, err)
 		}
-		st.Segments++
-		n, torn, ferr := ScanRecords(data, sg.base, func(seq uint64, payload []byte) error {
+		n, end, torn, ferr := ScanRecords(data, sg.base, func(seq uint64, payload []byte) error {
 			if seq <= after || fn == nil {
 				return nil
 			}
@@ -102,6 +106,11 @@ func (w *WAL) replayLocked(after uint64, fn func(seq uint64, payload []byte) err
 		expected = sg.base + uint64(n)
 		if ferr != nil {
 			return st, ferr
+		}
+		if !torn && end < len(data) {
+			if err := w.opts.FS.Truncate(sg.path, int64(end)); err != nil {
+				return st, fmt.Errorf("cutting the zero tail of %s: %w", sg.path, err)
+			}
 		}
 		if torn {
 			if i+1 < len(segs) && segs[i+1].base == expected {

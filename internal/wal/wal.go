@@ -1,7 +1,8 @@
 // Package wal implements the group-commit write-ahead log that makes the
 // serving layer's write path durable: an append-only sequence of
 // length-prefixed, checksummed records spread over size-rotated segment
-// files, with a strict replay reader that stops at the first torn or
+// files, each preallocated and mapped so an append is a copy into the page
+// cache, with a strict replay reader that stops at the first torn or
 // corrupt record. A record is acknowledged (WaitDurable returns) only once
 // its durability matches the configured sync policy, so recovery restores
 // exactly the acknowledged writes. See docs/DURABILITY.md for the on-disk
@@ -9,12 +10,14 @@
 package wal
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -39,34 +42,26 @@ const (
 	// power loss; the slowest policy, with no batching.
 	SyncAlways
 	// SyncNone never fsyncs on the write path: a record is acknowledged
-	// once the OS has the bytes. Survives process crashes (kill -9) via
-	// the page cache but not power loss. Segment rotation and Close still
-	// fsync.
+	// once stored in the mapped segment, that is in the page cache. Survives
+	// kill -9, not power loss. Segment rotation and Close still fsync.
 	SyncNone
 )
 
+// policyNames are the flag spellings of the policies.
+var policyNames = [...]string{SyncGroup: "group", SyncAlways: "always", SyncNone: "none"}
+
 // String returns the flag spelling of the policy.
 func (p SyncPolicy) String() string {
-	switch p {
-	case SyncGroup:
-		return "group"
-	case SyncAlways:
-		return "always"
-	case SyncNone:
-		return "none"
+	if p >= 0 && int(p) < len(policyNames) {
+		return policyNames[p]
 	}
 	return fmt.Sprintf("SyncPolicy(%d)", int(p))
 }
 
-// ParseSync parses the flag spelling of a sync policy.
+// ParseSync parses the flag spelling of a sync policy; "" is group.
 func ParseSync(s string) (SyncPolicy, error) {
-	switch s {
-	case "group", "":
-		return SyncGroup, nil
-	case "always":
-		return SyncAlways, nil
-	case "none":
-		return SyncNone, nil
+	if i := slices.Index(policyNames[:], cmp.Or(s, "group")); i >= 0 {
+		return SyncPolicy(i), nil
 	}
 	return 0, fmt.Errorf("wal: unknown sync policy %q (want group, always, or none)", s)
 }
@@ -80,7 +75,7 @@ const (
 	// larger declared length as corruption, so a flipped length bit can
 	// never drive a huge allocation.
 	MaxRecordBytes = 1 << 20
-	// defaultSegmentBytes is the rotation threshold when Options leaves
+	// defaultSegmentBytes is the segment size when Options leaves
 	// SegmentBytes unset.
 	defaultSegmentBytes = 16 << 20
 
@@ -88,7 +83,10 @@ const (
 	segSuffix = ".seg"
 )
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+var (
+	castagnoli = crc32.MakeTable(crc32.Castagnoli)
+	errClosed  = errors.New("wal: closed")
+)
 
 // Options configures Open.
 type Options struct {
@@ -96,13 +94,8 @@ type Options struct {
 	Dir string
 	// Sync is the durability policy (default SyncGroup).
 	Sync SyncPolicy
-	// GroupWindow optionally delays the group-commit leader before its
-	// fsync, widening the batch at the cost of latency. The default 0
-	// relies on natural batching: waiters that arrive while an fsync is
-	// in flight form the next batch.
-	GroupWindow time.Duration
-	// SegmentBytes is the size past which the active segment rotates
-	// (default 16 MiB).
+	// SegmentBytes is the size each segment is preallocated to (default
+	// 16 MiB); a record that does not fit in the rest rotates first.
 	SegmentBytes int64
 	// FS substitutes the filesystem; nil means OSFS.
 	FS FS
@@ -119,11 +112,11 @@ type WAL struct {
 	busyCond *sync.Cond // on mu; signalled when a group fsync lets go of f
 	syncBusy bool       // a group-commit fsync holds a reference to f
 	f        File       // active segment
+	data     []byte     // f's mapping
 	segBase  uint64     // first sequence number of the active segment
-	segBytes int64
-	nextSeq  uint64 // sequence number the next Append will take
-	err      error  // sticky first failure; mirrored in errv
-	scratch  []byte
+	segBytes int64      // data[:segBytes] holds the segment's records
+	nextSeq  uint64     // sequence number the next Append will take
+	err      error      // sticky first failure; mirrored in errv
 
 	syncMu     sync.Mutex
 	syncCond   *sync.Cond
@@ -158,11 +151,10 @@ type Stats struct {
 }
 
 // Open opens (or creates) the log in opts.Dir. Existing segments are
-// scanned to find the last decodable record, and appending always starts in
-// a fresh segment just past it — a torn tail from a previous crash is never
-// appended after, so Replay can tell a benign interrupted append from
-// mid-log corruption. Records already on disk are not applied here; call
-// Replay.
+// scanned to find the last decodable record (cutting a crash's zero tails
+// off), and appending always starts in a fresh segment just past it: a torn
+// tail is never appended after, so Replay can tell a benign interrupted
+// append from mid-log corruption. Records on disk are applied by Replay.
 func Open(opts Options) (*WAL, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("wal: Options.Dir is required")
@@ -185,29 +177,16 @@ func Open(opts Options) (*WAL, error) {
 	}
 	w.nextSeq = st.LastSeq + 1
 	w.durableSeq = st.LastSeq // what's on disk is as durable as it will get
-	// Segments holding no replayable record (entirely past the strict
-	// scan's stopping point) would otherwise collide with the fresh
-	// segment's name or shadow it; their content is discarded data by the
-	// replay contract, so remove them.
+	// Segments wholly past the scan's stopping point hold discarded data
+	// and would collide with the fresh segment's name or shadow it.
 	segs, err := w.segmentsLocked()
+	if err == nil {
+		err = w.removeLocked(slices.DeleteFunc(segs, func(sg segment) bool { return sg.base < w.nextSeq }))
+	}
 	if err != nil {
-		return nil, fmt.Errorf("wal: listing %s: %w", opts.Dir, err)
+		return nil, fmt.Errorf("wal: removing stale segments from %s: %w", opts.Dir, err)
 	}
-	removed := false
-	for _, sg := range segs {
-		if sg.base >= w.nextSeq {
-			if err := opts.FS.Remove(sg.path); err != nil {
-				return nil, fmt.Errorf("wal: removing stale segment: %w", err)
-			}
-			removed = true
-		}
-	}
-	if removed {
-		if err := opts.FS.SyncDir(opts.Dir); err != nil {
-			return nil, fmt.Errorf("wal: syncing %s: %w", opts.Dir, err)
-		}
-	}
-	if err := w.openSegmentLocked(); err != nil {
+	if err := w.openSegmentLocked(opts.SegmentBytes); err != nil {
 		return nil, err
 	}
 	return w, nil
@@ -246,19 +225,19 @@ func (w *WAL) segmentsLocked() ([]segment, error) {
 	return segs, nil
 }
 
-// openSegmentLocked creates the fresh active segment named by nextSeq and
-// makes its directory entry durable.
-func (w *WAL) openSegmentLocked() error {
+// openSegmentLocked creates the fresh active segment named by nextSeq,
+// size bytes reserved and mapped, and makes its directory entry durable.
+func (w *WAL) openSegmentLocked(size int64) error {
 	path := filepath.Join(w.opts.Dir, segmentName(w.nextSeq))
-	f, err := w.opts.FS.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
+	f, err := w.opts.FS.Create(path, size)
 	if err != nil {
 		return fmt.Errorf("wal: creating segment: %w", err)
 	}
 	if err := w.opts.FS.SyncDir(w.opts.Dir); err != nil {
-		f.Close()
+		f.Close(0)
 		return fmt.Errorf("wal: syncing %s: %w", w.opts.Dir, err)
 	}
-	w.f = f
+	w.f, w.data = f, f.Data()
 	w.segBase = w.nextSeq
 	w.segBytes = 0
 	return nil
@@ -268,20 +247,18 @@ func (w *WAL) openSegmentLocked() error {
 // returns the extended slice. Exported so tests and fuzz targets can build
 // reference encodings; Append uses it internally.
 func AppendRecord(dst []byte, seq uint64, payload []byte) []byte {
-	var hdr [headerSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(hdr[8:16], seq)
-	crc := crc32.Update(0, castagnoli, hdr[8:16])
-	crc = crc32.Update(crc, castagnoli, payload)
-	binary.LittleEndian.PutUint32(hdr[4:8], crc)
-	return append(append(dst, hdr[:]...), payload...)
+	n := len(dst)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(payload))) // length, crc 0
+	dst = append(binary.LittleEndian.AppendUint64(dst, seq), payload...)
+	binary.LittleEndian.PutUint32(dst[n+4:], crc32.Checksum(dst[n+8:], castagnoli))
+	return dst
 }
 
-// Append assigns the next sequence number to payload and writes the record
-// to the active segment, rotating first if the segment is full. Under
-// SyncAlways the record is also fsynced before Append returns; under the
-// other policies durability is WaitDurable's job. The payload is copied
-// into the record encoding; the caller may reuse it.
+// Append assigns the next sequence number to payload and copies the record
+// into the active segment's mapping, rotating first if it would not fit.
+// The copy is the whole write: no syscall. Under SyncAlways the record is
+// also fsynced before Append returns; under the other policies durability is
+// WaitDurable's job. The caller may reuse payload.
 func (w *WAL) Append(payload []byte) (uint64, error) {
 	if len(payload) > MaxRecordBytes {
 		return 0, fmt.Errorf("wal: record payload %d bytes exceeds limit %d", len(payload), MaxRecordBytes)
@@ -291,21 +268,22 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 	if w.err != nil {
 		return 0, w.err
 	}
-	if w.segBytes >= w.opts.SegmentBytes {
-		if err := w.rotateLocked(); err != nil {
+	n := int64(headerSize + len(payload))
+	if w.segBytes+n > int64(len(w.data)) {
+		if err := w.rotateLocked(n); err != nil {
 			return 0, err
 		}
 	}
-	seq := w.nextSeq
-	w.scratch = AppendRecord(w.scratch[:0], seq, payload)
-	if _, err := w.f.Write(w.scratch); err != nil {
+	seq, off := w.nextSeq, w.segBytes
+	AppendRecord(w.data[off:off:off+n], seq, payload)
+	if err := w.f.Appended(off, off+n); err != nil {
 		w.failLocked(err)
 		return 0, w.err
 	}
 	w.nextSeq++
-	w.segBytes += int64(len(w.scratch))
+	w.segBytes += n
 	w.appends.Add(1)
-	w.appendBytes.Add(int64(len(w.scratch)))
+	w.appendBytes.Add(n)
 	if w.opts.Sync == SyncAlways {
 		if err := w.fsyncLocked(seq); err != nil {
 			return 0, err
@@ -321,6 +299,12 @@ func (w *WAL) fsyncLocked(upTo uint64) error {
 		w.failLocked(err)
 		return w.err
 	}
+	w.synced(upTo, t0)
+	return nil
+}
+
+// synced counts an fsync that began at t0 and publishes upTo as durable.
+func (w *WAL) synced(upTo uint64, t0 time.Time) {
 	w.fsyncs.Add(1)
 	if h := w.fsyncObs.Load(); h != nil {
 		h.ObserveSince(t0)
@@ -331,7 +315,6 @@ func (w *WAL) fsyncLocked(upTo uint64) error {
 	}
 	w.syncCond.Broadcast()
 	w.syncMu.Unlock()
-	return nil
 }
 
 // fsyncGroup syncs the active segment on behalf of a group-commit leader
@@ -340,20 +323,14 @@ func (w *WAL) fsyncLocked(upTo uint64) error {
 // that concurrent Appends land while the disk flushes, so the next leader's
 // fsync covers them all in one batch. Rotation and Close wait out the
 // in-flight sync (waitSyncIdleLocked) before closing the file it holds.
-// Called with no locks held; returns the highest sequence number covered.
-func (w *WAL) fsyncGroup() (uint64, error) {
+// Called with no locks held.
+func (w *WAL) fsyncGroup() error {
 	w.mu.Lock()
-	if w.err != nil {
-		err := w.err
-		w.mu.Unlock()
-		return 0, err
+	if w.err != nil || w.f == nil {
+		defer w.mu.Unlock()
+		return cmp.Or(w.err, errClosed)
 	}
-	if w.f == nil {
-		w.mu.Unlock()
-		return 0, errors.New("wal: closed")
-	}
-	upTo := w.nextSeq - 1
-	f := w.f
+	upTo, f := w.nextSeq-1, w.f
 	w.syncBusy = true
 	w.mu.Unlock()
 
@@ -365,23 +342,13 @@ func (w *WAL) fsyncGroup() (uint64, error) {
 	w.busyCond.Broadcast()
 	if serr != nil {
 		w.failLocked(serr)
-		err := w.err
-		w.mu.Unlock()
-		return 0, err
 	}
-	w.fsyncs.Add(1)
-	if h := w.fsyncObs.Load(); h != nil {
-		h.ObserveSince(t0)
-	}
+	err := w.err
 	w.mu.Unlock()
-
-	w.syncMu.Lock()
-	if upTo > w.durableSeq {
-		w.durableSeq = upTo
+	if err == nil {
+		w.synced(upTo, t0)
 	}
-	w.syncCond.Broadcast()
-	w.syncMu.Unlock()
-	return upTo, nil
+	return err
 }
 
 // waitSyncIdleLocked blocks (releasing and reacquiring w.mu via the cond)
@@ -394,18 +361,22 @@ func (w *WAL) waitSyncIdleLocked() {
 }
 
 // rotateLocked seals the active segment (fsync, so rotation never reduces
-// durability) and opens the next one.
-func (w *WAL) rotateLocked() error {
+// durability; then cut to its used length) and opens the next one, with room
+// for at least need bytes.
+func (w *WAL) rotateLocked(need int64) error {
+	if w.f == nil {
+		return errClosed
+	}
 	w.waitSyncIdleLocked()
 	if err := w.fsyncLocked(w.nextSeq - 1); err != nil {
 		return err
 	}
-	if err := w.f.Close(); err != nil {
-		w.failLocked(err)
-		return w.err
+	err := w.f.Close(w.segBytes)
+	w.f, w.data = nil, nil
+	if err == nil {
+		err = w.openSegmentLocked(max(w.opts.SegmentBytes, need))
 	}
-	w.f = nil
-	if err := w.openSegmentLocked(); err != nil {
+	if err != nil {
 		w.failLocked(err)
 		return w.err
 	}
@@ -419,8 +390,8 @@ func (w *WAL) rotateLocked() error {
 func (w *WAL) WaitDurable(seq uint64) error {
 	switch w.opts.Sync {
 	case SyncAlways, SyncNone:
-		// always: Append already fsynced. none: the OS has the bytes,
-		// which is all this policy promises.
+		// always: Append already fsynced. none: the page cache has the
+		// bytes, which is all this policy promises.
 		return w.Err()
 	}
 	w.syncMu.Lock()
@@ -441,10 +412,10 @@ func (w *WAL) WaitDurable(seq uint64) error {
 		}
 		w.syncing = true
 		w.syncMu.Unlock()
-		if w.opts.GroupWindow > 0 {
-			time.Sleep(w.opts.GroupWindow)
-		}
-		_, err := w.fsyncGroup()
+		// Let ready writers append first, so this fsync covers them: an
+		// append makes no syscall, so one P would run each to its own fsync.
+		runtime.Gosched()
+		err := w.fsyncGroup()
 		w.syncMu.Lock()
 		w.syncing = false
 		w.syncCond.Broadcast()
@@ -467,48 +438,40 @@ func (w *WAL) TruncateBefore(seq uint64) (int, error) {
 		return 0, w.err
 	}
 	segs, err := w.segmentsLocked()
+	n := 0
+	// Segment n's records run up to (at most) the next base minus one.
+	for err == nil && n+1 < len(segs) && segs[n].base != w.segBase && segs[n+1].base <= seq+1 {
+		n++
+	}
+	if err == nil {
+		err = w.removeLocked(segs[:n])
+	}
 	if err != nil {
 		w.failLocked(err)
 		return 0, w.err
 	}
-	removed := 0
-	for i, sg := range segs {
-		if sg.base == w.segBase || i+1 >= len(segs) {
-			break
-		}
-		// Segment i's records run up to (at most) the next base minus one.
-		if segs[i+1].base > seq+1 {
-			break
-		}
-		if err := w.opts.FS.Remove(sg.path); err != nil {
-			w.failLocked(err)
-			return removed, w.err
-		}
-		removed++
-	}
-	if removed > 0 {
-		if err := w.opts.FS.SyncDir(w.opts.Dir); err != nil {
-			w.failLocked(err)
-			return removed, w.err
-		}
+	if n > 0 {
 		w.truncations.Add(1)
 	}
-	return removed, nil
+	return n, nil
 }
 
-// Sync forces an fsync covering every appended record.
-func (w *WAL) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return w.err
+// removeLocked deletes segs and makes the deletions durable.
+func (w *WAL) removeLocked(segs []segment) error {
+	for _, sg := range segs {
+		if err := w.opts.FS.Remove(sg.path); err != nil {
+			return err
+		}
 	}
-	return w.fsyncLocked(w.nextSeq - 1)
+	if len(segs) == 0 {
+		return nil
+	}
+	return w.opts.FS.SyncDir(w.opts.Dir)
 }
 
 // Close seals the log: a final fsync (whatever the policy — a clean
-// shutdown leaves everything durable) and the segment closed. The WAL must
-// not be used after Close.
+// shutdown leaves everything durable), and the segment unmapped, cut to its
+// used length and closed. The WAL must not be used after Close.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -519,8 +482,8 @@ func (w *WAL) Close() error {
 	if w.err == nil {
 		w.fsyncLocked(w.nextSeq - 1)
 	}
-	err := w.f.Close()
-	w.f = nil
+	err := w.f.Close(w.segBytes)
+	w.f, w.data = nil, nil
 	if err != nil && w.err == nil {
 		w.failLocked(err)
 	}
@@ -550,7 +513,6 @@ func (w *WAL) SetFsyncObs(h *obs.Histogram) { w.fsyncObs.Store(h) }
 func (w *WAL) Stats() Stats {
 	w.mu.Lock()
 	last := w.nextSeq - 1
-	err := w.err
 	w.mu.Unlock()
 	w.syncMu.Lock()
 	durable := w.durableSeq
@@ -563,6 +525,6 @@ func (w *WAL) Stats() Stats {
 		Truncations:   w.truncations.Load(),
 		LastSeq:       last,
 		DurableSeq:    durable,
-		Err:           err,
+		Err:           w.Err(),
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -319,8 +320,8 @@ type slowFS struct {
 	delay time.Duration
 }
 
-func (fs slowFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
-	f, err := fs.FS.OpenFile(name, flag, perm)
+func (fs slowFS) Create(name string, size int64) (File, error) {
+	f, err := fs.FS.Create(name, size)
 	if err != nil {
 		return nil, err
 	}
@@ -389,6 +390,48 @@ func TestGroupCommitBatchesDuringSlowFsync(t *testing.T) {
 	}
 }
 
+// TestGroupCommitBatchesOnOneP: with one P, an append that makes no
+// syscall never hands the P to another writer, so group commit batches only
+// because the leader yields before it fsyncs. Two writers alternating on
+// one P must then share each fsync, 0.5 per write; without the yield each
+// writer runs to its own fsync, 1 per write.
+func TestGroupCommitBatchesOnOneP(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	w, err := Open(Options{Dir: t.TempDir(), Sync: SyncGroup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	const writers, perWriter = 2, 50
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				seq, err := w.Append([]byte("record"))
+				if err == nil {
+					err = w.WaitDurable(seq)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if st := w.Stats(); st.Fsyncs*4 > st.Appends*3 {
+		t.Fatalf("%d fsyncs for %d appends by %d writers on one P: group commit is not batching",
+			st.Fsyncs, st.Appends, writers)
+	}
+}
+
 func TestParseSync(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
@@ -417,5 +460,93 @@ func TestOversizeRecordRejected(t *testing.T) {
 	}
 	if w.Err() != nil {
 		t.Fatalf("oversize append poisoned the log: %v", w.Err())
+	}
+}
+
+// TestZeroTailEndsTheLog: a segment's records end cleanly where only zeros
+// follow, the rest of its reservation; anything else after them is torn.
+// Open cuts a crash's zero tail off, and Close cuts the segment it seals.
+func TestZeroTailEndsTheLog(t *testing.T) {
+	clean := segmentBytes(t, 8, false)
+	crashed := segmentBytes(t, 8, true)
+	if len(crashed) != fuzzSegmentBytes || !bytes.HasPrefix(crashed, clean) {
+		t.Fatalf("crashed segment is %d bytes, want the %d-byte reservation holding the %d closed bytes",
+			len(crashed), fuzzSegmentBytes, len(clean))
+	}
+	tail := func(parts ...[]byte) []byte {
+		return bytes.Join(append([][]byte{clean}, parts...), nil)
+	}
+	zeros := func(n int) []byte { return make([]byte, n) }
+	for _, tc := range []struct {
+		name string
+		data []byte
+		torn bool
+	}{
+		{"cut by Close", clean, false},
+		{"zero tail", crashed, false},
+		{"zero tail shorter than a header", tail(zeros(headerSize - 1)), false},
+		{"zero header, then a byte", tail(zeros(headerSize), []byte{1}), true},
+		{"torn record inside the zero tail", tail(zeros(40), clean[:headerSize+4], zeros(40)), true},
+		{"torn record, then zeros", tail(clean[:headerSize+4], zeros(100)), true},
+	} {
+		n, end, torn, err := ScanRecords(tc.data, 1, nil)
+		if err != nil || n != 8 || end != len(clean) || torn != tc.torn {
+			t.Errorf("%s: %d records ending at %d, torn %v (%v); want 8 ending at %d, torn %v",
+				tc.name, n, end, torn, err, len(clean), tc.torn)
+		}
+	}
+
+	dir := t.TempDir()
+	seg := filepath.Join(dir, segmentName(1))
+	if err := os.WriteFile(seg, crashed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, err := Open(Options{Dir: dir, SegmentBytes: fuzzSegmentBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(seg); err != nil || fi.Size() != int64(len(clean)) {
+		t.Fatalf("crashed segment after Open: %v, %v; want it cut to %d bytes", fi, err, len(clean))
+	}
+	if _, err := w.Append([]byte("after the crash")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(filepath.Join(dir, segmentName(9)))
+	if want := int64(headerSize + len("after the crash")); err != nil || fi.Size() != want {
+		t.Fatalf("segment sealed by Close: %v, %v; want %d bytes", fi, err, want)
+	}
+}
+
+// TestRotationReservesTheRecord: a segment rotates before a record that
+// would not fit in its reservation, and a record larger than SegmentBytes
+// gets a segment reserved to its own size.
+func TestRotationReservesTheRecord(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(Options{Dir: dir, SegmentBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]byte{make([]byte, 20), make([]byte, 20), make([]byte, 200), make([]byte, 1)}
+	for i, p := range want {
+		p[0] = byte(i + 1)
+		if _, err := w.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, st := collect(t, w, 0)
+	if len(got) != len(want) || st.Torn || w.Stats().Rotations != 3 {
+		t.Fatalf("replayed %d records, torn %v, %d rotations; want %d, false, 3",
+			len(got), st.Torn, w.Stats().Rotations, len(want))
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for seq, size := range map[uint64]int64{1: 36, 2: 36, 3: 216, 4: 17} {
+		if fi, err := os.Stat(filepath.Join(dir, segmentName(seq))); err != nil || fi.Size() != size {
+			t.Errorf("segment %d: %v, %v; want %d bytes", seq, fi, err, size)
+		}
 	}
 }

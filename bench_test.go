@@ -14,6 +14,7 @@ package wazi_test
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -361,6 +362,43 @@ func BenchmarkBuildWaZI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := core.BuildWaZI(pts, train, core.Options{}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkShardCompaction times one compaction of the fixture's smallest
+// 4-way shard after 1 024 buffered inserts: a fold of the delta into a copy
+// of the shard's index, which sharded-wal-churn pays twice a pass.
+func BenchmarkShardCompaction(b *testing.B) {
+	pts, train := workload.BenchFixture()
+	s, err := wazi.NewSharded(pts, train, wazi.WithShards(4), wazi.WithCompactThreshold(math.MaxInt32),
+		wazi.WithoutAutoRebuild(), wazi.WithoutAutoRepartition())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	shards, small := s.Shards(), 0
+	for i, sh := range shards {
+		if sh.Points < shards[small].Points {
+			small = i
+		}
+	}
+	var fresh []geom.Point
+	for _, p := range dataset.Generate(dataset.CaliNev, 32_000, 7) {
+		if s.ShardOf(p) == small {
+			fresh = append(fresh, p)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j := range 1024 {
+			s.Insert(fresh[(i*1024+j)%len(fresh)])
+		}
+		b.StartTimer()
+		if !s.RebuildShard(small) {
+			b.Fatal("the compaction did not swap")
 		}
 	}
 }

@@ -14,8 +14,21 @@ func (s *Sharded) RecentWindow(i int) []Rect { return s.snap.Load().ctls[i].rece
 // ShardOf returns the shard that owns p under the serving plan.
 func (s *Sharded) ShardOf(p Point) int { return s.snap.Load().plan.Locate(p) }
 
-// RebuildShard compacts and rebuilds shard i now, as the control loop would.
-func (s *Sharded) RebuildShard(i int) bool { return s.rebuildShard(i) }
+// RebuildShard compacts shard i now, as the control loop would on backlog:
+// it folds the shard's delta into a copy of its index.
+func (s *Sharded) RebuildShard(i int) bool { return s.rebuildShard(i, false) }
+
+// FoldShard compacts shard i as RebuildShard does and returns the points
+// the compacted index must hold, foldable(materialize(captured)), and the
+// index it swapped in (nil when the shard ended up empty).
+func (s *Sharded) FoldShard(t testing.TB, i int) (want []Point, idx *Index) {
+	t.Helper()
+	want, _ = foldable(materialize(s.snap.Load().shards[i]))
+	if !s.RebuildShard(i) {
+		t.Fatalf("the compaction of shard %d did not swap", i)
+	}
+	return want, s.snap.Load().shards[i].idx
+}
 
 // ShardState reports whether shard i serves nothing at all, and whether it
 // serves from its insert buffer alone (no built index) — the two states the

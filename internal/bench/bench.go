@@ -55,17 +55,6 @@ type Config struct {
 	Regions []dataset.Region
 }
 
-// DefaultConfig returns the scaled-down defaults.
-func DefaultConfig() Config {
-	return Config{
-		Scale:        100_000,
-		Queries:      2_000,
-		PointQueries: 5_000,
-		LeafSize:     256,
-		Seed:         1,
-	}
-}
-
 // Filled returns a copy of c with package defaults applied to every unset
 // field, so the effective configuration can be recorded (e.g. in a
 // harness report) exactly as the experiments will see it.

@@ -123,15 +123,6 @@ func Fig4AllIndexes(cfg Config) []Table {
 	return []Table{t}
 }
 
-// buildMainSix builds the Figure 6 lineup for one region's data/workload.
-func buildMainSix(w Workloads, train []geom.Rect, cfg Config) map[string]BuildResult {
-	out := map[string]BuildResult{}
-	for _, name := range MainIndexes {
-		out[name] = BuildIndex(name, w.Data, train, cfg)
-	}
-	return out
-}
-
 // Fig6RangeBySelectivity reproduces Figure 6: range latency for the six
 // main indexes over 4 regions x 4 selectivities, plus a deterministic
 // companion table of points scanned per query (the paper's retrieval

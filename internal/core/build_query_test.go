@@ -152,7 +152,7 @@ func TestLeafSizeRespected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for l := z.Head(); l != nil; l = l.Next() {
+	for l := z.head; l != nil; l = l.next {
 		if l.Len() > 100 {
 			t.Fatalf("leaf with %d points exceeds capacity 100", l.Len())
 		}
@@ -269,9 +269,9 @@ func TestMonotonicityProperty(t *testing.T) {
 			if la == nil || lb == nil {
 				continue // empty quadrant
 			}
-			if la.Ord() > lb.Ord() {
+			if la.ord > lb.ord {
 				t.Fatalf("%s: monotonicity violated: leaf(%v).ord=%d > leaf(%v).ord=%d",
-					name, a, la.Ord(), b, lb.Ord())
+					name, a, la.ord, b, lb.ord)
 			}
 		}
 	}
@@ -290,9 +290,9 @@ func TestDominatedIndexedPointsOrder(t *testing.T) {
 				continue
 			}
 			la, lb := z.TreeTraversal(a), z.TreeTraversal(b)
-			if la != lb && la.Ord() > lb.Ord() {
+			if la != lb && la.ord > lb.ord {
 				t.Fatalf("%s: dominated point's leaf ord %d > dominating point's %d",
-					name, la.Ord(), lb.Ord())
+					name, la.ord, lb.ord)
 			}
 		}
 	}
@@ -467,17 +467,17 @@ func TestLookaheadChaseFindsEarliestImprovement(t *testing.T) {
 	}
 	// For every leaf and criterion, the pointer target must equal the
 	// linear-scan earliest improving leaf.
-	for l := z.Head(); l != nil; l = l.Next() {
+	for l := z.head; l != nil; l = l.next {
 		for c := Criterion(0); c < 4; c++ {
 			var want *Leaf
-			for m := l.Next(); m != nil; m = m.Next() {
+			for m := l.next; m != nil; m = m.next {
 				if Improves(c, l, m) {
 					want = m
 					break
 				}
 			}
-			if got := l.Lookahead(c); got != want {
-				t.Fatalf("leaf %d criterion %v: pointer mismatch", l.Ord(), c)
+			if got := l.la[c]; got != want {
+				t.Fatalf("leaf %d criterion %v: pointer mismatch", l.ord, c)
 			}
 		}
 	}
@@ -667,7 +667,7 @@ func TestDescribe(t *testing.T) {
 	if b.WorkloadAware() || !w.WorkloadAware() {
 		t.Error("WorkloadAware flags wrong")
 	}
-	if b.SkippingEnabled() || !w.SkippingEnabled() {
+	if !b.opts.DisableSkipping || w.opts.DisableSkipping {
 		t.Error("SkippingEnabled flags wrong")
 	}
 	if b.Describe() == "" || w.Describe() == "" {

@@ -13,7 +13,7 @@ import (
 // CheckInvariants exposes the internal structural validator to tests, with
 // the page invariants of checkPageInvariants on top.
 func (z *ZIndex) CheckInvariants() error {
-	if err := z.checkInvariants(); err != nil {
+	if err := z.Verify(); err != nil {
 		return err
 	}
 	return z.checkPageInvariants()
@@ -21,7 +21,7 @@ func (z *ZIndex) CheckInvariants() error {
 
 // checkPageInvariants verifies that every leaf's page is a sorted run plus a
 // tail: the run is no longer than the page, lies inside the leaf's cell, and
-// is in geom.CmpXY order. checkInvariants has already matched each page's
+// is in geom.CmpXY order. Verify has already matched each page's
 // length to its leaf's count.
 func (z *ZIndex) checkPageInvariants() error {
 	for l := z.head; l != nil; l = l.next {

@@ -117,9 +117,7 @@ func (b *greedyBuilder) chooseConfig(pts []geom.Point, queries []geom.Rect, cell
 	for i := 0; i < b.opts.Kappa; i++ {
 		candidates = append(candidates, uniformSample(b.rng, cell))
 	}
-	if !b.opts.NoMedianCandidate {
-		candidates = append(candidates, median)
-	}
+	candidates = append(candidates, median) // the Base configuration's split
 
 	bestCost := infCost
 	bestSplit := median

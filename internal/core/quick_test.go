@@ -104,7 +104,7 @@ func TestQuickMonotonicity(t *testing.T) {
 		if la == nil || lb == nil {
 			return true // one endpoint fell in an empty quadrant
 		}
-		return la.Ord() <= lb.Ord()
+		return la.ord <= lb.ord
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

@@ -2,9 +2,11 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/wazi-index/wazi/internal/geom"
+	"github.com/wazi-index/wazi/internal/storage"
 )
 
 // reference is a brute-force multiset of points used as ground truth for
@@ -52,6 +54,55 @@ func TestInsertThenQuery(t *testing.T) {
 	}
 	if z.Stats().PageSplits == 0 {
 		t.Error("expected page splits during 1500 inserts into 64-point leaves")
+	}
+}
+
+// TestCopyToIsIndependent: a copy holds the original's leaves, pages and
+// runs one for one, passes the invariants with tails on its pages, and
+// takes inserts, splits, deletes and merges that never reach the original.
+func TestCopyToIsIndependent(t *testing.T) {
+	pts := clusteredPts(2000, 60)
+	z, err := BuildWaZI(pts, skewedQueries(100, 61), Options{LeafSize: 64, Seed: 62})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(63))
+	for range 300 { // tails on the original's pages
+		z.Insert(geom.Point{X: rng.Float64(), Y: rng.Float64()})
+	}
+	want := z.Points()
+	c := z.CopyTo(storage.NewMemStore())
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for l, m, i := z.head, c.head, 0; l != nil || m != nil; l, m, i = l.next, m.next, i+1 {
+		if l == nil || m == nil || l.Bounds() != m.Bounds() || l.Len() != m.Len() || l.sorted != m.sorted {
+			t.Fatalf("the copy's leaf list differs from the original's at leaf %d", i)
+		}
+	}
+	if got := c.Points(); !slices.Equal(got, want) || c.Stats().Inserts != 0 {
+		t.Fatalf("the copy holds %d points in another order, or kept the original's stats", len(got))
+	}
+	ref := &reference{pts: slices.Clone(want)}
+	for _, p := range want[:1000] { // the first leaves empty and merge
+		if !c.Delete(p) || !ref.delete(p) {
+			t.Fatalf("the copy lost %v", p)
+		}
+	}
+	for i := range 500 { // the last ones overflow and split
+		p := want[len(want)-1-i%50]
+		c.Insert(geom.Point{X: p.X, Y: p.Y + 1e-9*float64(i)})
+		ref.insert(geom.Point{X: p.X, Y: p.Y + 1e-9*float64(i)})
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.PageSplits == 0 || st.PageMerges == 0 {
+		t.Fatalf("the updates made %d splits and %d merges, want both", st.PageSplits, st.PageMerges)
+	}
+	samePointSets(t, c.RangeQuery(c.Bounds()), ref.pts, "copy after updates")
+	if err := z.CheckInvariants(); err != nil || !slices.Equal(z.Points(), want) {
+		t.Fatalf("updates to the copy reached the original (%v)", err)
 	}
 }
 

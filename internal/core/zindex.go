@@ -131,17 +131,6 @@ func (l *Leaf) Bounds() geom.Rect { return l.bounds }
 // Len returns the number of points stored in the leaf's page.
 func (l *Leaf) Len() int { return l.n }
 
-// Next returns the following leaf in Ord, or nil at the end of the list.
-func (l *Leaf) Next() *Leaf { return l.next }
-
-// Ord returns the leaf's position in the leaf list.
-func (l *Leaf) Ord() int { return l.ord }
-
-// Lookahead returns the look-ahead pointer for criterion c (nil means the
-// end of the leaf list: no later leaf can satisfy the criterion's
-// improvement condition).
-func (l *Leaf) Lookahead(c Criterion) *Leaf { return l.la[c] }
-
 // Options configure Z-index construction. The zero value is usable: every
 // field has a sensible default applied by fill.
 type Options struct {
@@ -177,10 +166,6 @@ type Options struct {
 	ExactCounts bool
 	// DensityOpts configure the default RFDE forest.
 	DensityOpts density.Options
-	// NoMedianCandidate drops the data median from the candidate split set.
-	// By default the median is evaluated alongside the κ uniform samples so
-	// that the greedy choice is never starved of the Base configuration.
-	NoMedianCandidate bool
 	// OrderABCDOnly restricts the greedy construction to the classic
 	// "abcd" ordering, isolating the contribution of split-point freedom
 	// from ordering freedom (DESIGN.md ablation 4).
@@ -262,6 +247,36 @@ func (z *ZIndex) adoptStore(st storage.PageStore) {
 	st.SetStatsSink(&z.stats)
 }
 
+// CopyTo returns a copy of z, node for node, whose pages live in st, a fresh
+// store: each leaf's page is written once with its sorted run and its tail.
+// The copy starts with fresh stats. z is only read, so it may keep serving
+// queries meanwhile; updates to the copy never reach it.
+func (z *ZIndex) CopyTo(st storage.PageStore) *ZIndex {
+	c := &ZIndex{bounds: z.bounds, count: z.count, opts: z.opts, workloadAware: z.workloadAware}
+	c.adoptStore(st)
+	reserveStore(st, z.count)
+	c.root = z.copyNode(z.root, st)
+	c.structuralChange()
+	return c
+}
+
+// copyNode copies the subtree under n, writing its leaves' pages to st.
+func (z *ZIndex) copyNode(n *node, st storage.PageStore) *node {
+	if n == nil {
+		return nil
+	}
+	m := *n
+	if l := n.leaf; l != nil {
+		v := z.store.View(l.pid)
+		m.leaf = &Leaf{bounds: l.bounds, pid: st.Alloc(v.Pts, l.bounds), n: l.n, sorted: l.sorted}
+		v.Release()
+	}
+	for pos, child := range n.child {
+		m.child[pos] = z.copyNode(child, st)
+	}
+	return &m
+}
+
 // Stats returns the index's cumulative access counters. The pointer is live:
 // callers may Reset it between measurement windows.
 func (z *ZIndex) Stats() *storage.Stats { return &z.stats }
@@ -299,9 +314,6 @@ func (z *ZIndex) Options() Options { return z.opts }
 // WorkloadAware reports whether the index was built by BuildWaZI.
 func (z *ZIndex) WorkloadAware() bool { return z.workloadAware }
 
-// SkippingEnabled reports whether look-ahead pointers are built and used.
-func (z *ZIndex) SkippingEnabled() bool { return !z.opts.DisableSkipping }
-
 // Leaves returns the number of leaves in the leaf list, including empty
 // (tombstoned) leaves left behind by deletions.
 func (z *ZIndex) Leaves() int {
@@ -311,9 +323,6 @@ func (z *ZIndex) Leaves() int {
 	}
 	return n
 }
-
-// Head returns the first leaf in Ord, for inspection and tests.
-func (z *ZIndex) Head() *Leaf { return z.head }
 
 // Depth returns the height of the tree (a single leaf has depth 1).
 func (z *ZIndex) Depth() int { return depth(z.root) }
@@ -374,10 +383,10 @@ func (z *ZIndex) Describe() string {
 		kind, z.count, z.Leaves(), z.Depth(), z.opts.LeafSize, skip)
 }
 
-// checkInvariants verifies structural invariants and returns the first
-// violation found. It is exported to the package's tests via export_test.go
-// and used by failure-injection tests.
-func (z *ZIndex) checkInvariants() error {
+// Verify checks the structural invariants (tree, leaf list, counts and,
+// with skipping, the look-ahead pointers) and returns the first violation
+// found. Tests and failure-injection tests call it.
+func (z *ZIndex) Verify() error {
 	// Leaf list is consistent with the tree's in-order leaf sequence.
 	var fromTree []*Leaf
 	var walk func(n *node) error

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -309,15 +308,4 @@ func writePromHistogram(w io.Writer, name string, s *series) error {
 	}
 	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, labelString(s.labels, ""), hs.Count)
 	return err
-}
-
-// SortedLabelKeys returns the label keys of a snapshot series in sorted
-// order — a convenience for tests and report builders.
-func SortedLabelKeys(labels []Label) []string {
-	keys := make([]string, len(labels))
-	for i, l := range labels {
-		keys[i] = l.Key
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -15,9 +15,9 @@ type ReplayStats struct {
 	Records int
 	LastSeq uint64
 	// Torn reports that replay stopped at bytes that are neither a record
-	// nor the zero tail, with no later segment resuming the sequence: the
-	// log's tail was lost mid-append, or corrupted. A tear that a later
-	// segment resumes after (a previous Open discarded it) is benign.
+	// nor the zero tail in the last segment: the log's tail was lost
+	// mid-append. A tear that the next segment resumes after (a previous
+	// Open discarded it) is benign.
 	Torn bool
 }
 
@@ -64,8 +64,12 @@ func ScanRecords(data []byte, base uint64, fn func(seq uint64, payload []byte) e
 // Replay reads every segment in order and calls fn for each record whose
 // sequence number is strictly above after (the caller's checkpoint cut),
 // stopping at the first torn or corrupt record exactly as ScanRecords
-// does. It never applies a record past a bad one. Safe only while no
-// appends are in flight — callers replay before serving.
+// does. It never applies a record past a bad one. Records that stop before
+// a segment the sequence does not resume in are corruption, not a crash's
+// tear (rotation syncs a segment before it creates the next, and Open
+// resumes past a tear), and Replay returns an error that names the segment
+// and the offset. Safe only while no appends are in flight — callers
+// replay before serving.
 func (w *WAL) Replay(after uint64, fn func(seq uint64, payload []byte) error) (ReplayStats, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -81,14 +85,10 @@ func (w *WAL) replayLocked(after uint64, fn func(seq uint64, payload []byte) err
 	}
 	var st ReplayStats
 	var expected uint64
+	cuts := map[string]int64{} // zero tails, cut once the whole log reads
 	for i, sg := range segs {
 		if i == 0 {
 			expected = sg.base
-		} else if sg.base != expected {
-			// A gap between segments: everything from here on is
-			// unreachable discarded data.
-			st.Torn = true
-			break
 		}
 		var data []byte
 		if w.f != nil && sg.base == w.segBase {
@@ -108,18 +108,17 @@ func (w *WAL) replayLocked(after uint64, fn func(seq uint64, payload []byte) err
 			return st, ferr
 		}
 		if !torn && end < len(data) {
-			if err := w.opts.FS.Truncate(sg.path, int64(end)); err != nil {
-				return st, fmt.Errorf("cutting the zero tail of %s: %w", sg.path, err)
-			}
+			cuts[sg.path] = int64(end)
 		}
-		if torn {
-			if i+1 < len(segs) && segs[i+1].base == expected {
-				// Benign: a later Open discarded this tail and resumed
-				// the sequence in a fresh segment.
-				continue
-			}
-			st.Torn = true
-			break
+		if i+1 < len(segs) && segs[i+1].base != expected {
+			return st, fmt.Errorf("corrupt segment %s at offset %d: the log resumes at record %d, not %d",
+				sg.path, end, segs[i+1].base, expected)
+		}
+		st.Torn = torn && i+1 == len(segs)
+	}
+	for path, end := range cuts {
+		if err := w.opts.FS.Truncate(path, end); err != nil {
+			return st, fmt.Errorf("cutting the zero tail of %s: %w", path, err)
 		}
 	}
 	if expected > 0 {

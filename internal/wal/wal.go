@@ -116,6 +116,7 @@ type WAL struct {
 	segBase  uint64     // first sequence number of the active segment
 	segBytes int64      // data[:segBytes] holds the segment's records
 	nextSeq  uint64     // sequence number the next Append will take
+	torn     bool       // Open's scan found a torn tail and discarded it
 	err      error      // sticky first failure; mirrored in errv
 
 	syncMu     sync.Mutex
@@ -146,6 +147,8 @@ type Stats struct {
 	// none); DurableSeq the highest covered by an fsync.
 	LastSeq    uint64
 	DurableSeq uint64
+	// Torn reports that Open found the log's tail torn and discarded it.
+	Torn bool
 	// Err is the sticky error, nil while the log is healthy.
 	Err error
 }
@@ -154,7 +157,8 @@ type Stats struct {
 // scanned to find the last decodable record (cutting a crash's zero tails
 // off), and appending always starts in a fresh segment just past it: a torn
 // tail is never appended after, so Replay can tell a benign interrupted
-// append from mid-log corruption. Records on disk are applied by Replay.
+// append from mid-log corruption. Corruption fails Open, which then has
+// deleted and cut nothing. Records on disk are applied by Replay.
 func Open(opts Options) (*WAL, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("wal: Options.Dir is required")
@@ -175,7 +179,7 @@ func Open(opts Options) (*WAL, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: scanning %s: %w", opts.Dir, err)
 	}
-	w.nextSeq = st.LastSeq + 1
+	w.nextSeq, w.torn = st.LastSeq+1, st.Torn
 	w.durableSeq = st.LastSeq // what's on disk is as durable as it will get
 	// Segments wholly past the scan's stopping point hold discarded data
 	// and would collide with the fresh segment's name or shadow it.
@@ -525,6 +529,7 @@ func (w *WAL) Stats() Stats {
 		Truncations:   w.truncations.Load(),
 		LastSeq:       last,
 		DurableSeq:    durable,
+		Torn:          w.torn,
 		Err:           w.Err(),
 	}
 }

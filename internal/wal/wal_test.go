@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -257,6 +258,62 @@ func TestCorruptRecordStopsReplay(t *testing.T) {
 	}
 	if len(got) >= 10 {
 		t.Fatalf("replay applied %d records past a corrupt one", len(got))
+	}
+}
+
+// TestOpenRefusesMidLogCorruption: one flipped bit in the second of ten
+// segments is corruption, not a tear, because the segments after it hold
+// fsynced records. Open fails with an error that names the segment, and
+// every segment file is left byte for byte as it was.
+func TestOpenRefusesMidLogCorruption(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Dir: dir, Sync: SyncAlways, SegmentBytes: 128}
+	w, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range payloads(40) {
+		if _, err := w.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	read := func() map[string][]byte {
+		segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := map[string][]byte{}
+		for _, sg := range segs {
+			if files[sg], err = os.ReadFile(sg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return files
+	}
+	files := read()
+	second := filepath.Join(dir, segmentName(5))
+	if len(files) != 10 || len(files[second]) == 0 {
+		t.Fatalf("40 records made %d segments, want 10 with records 5-8 in %s", len(files), second)
+	}
+	// Flip a bit in the payload of the segment's third record, record 7.
+	files[second][2*(headerSize+len("record-0000"))+headerSize] ^= 1
+	if err := os.WriteFile(second, files[second], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(opts); err == nil || !strings.Contains(err.Error(), second) {
+		t.Fatalf("Open over a corrupt mid-log segment: err %v, want one naming %s", err, second)
+	}
+	after := read()
+	if len(after) != len(files) {
+		t.Fatalf("Open left %d segment files of %d", len(after), len(files))
+	}
+	for sg, data := range files {
+		if !bytes.Equal(after[sg], data) {
+			t.Fatalf("Open changed %s: %d bytes, was %d", sg, len(after[sg]), len(data))
+		}
 	}
 }
 

@@ -291,7 +291,8 @@ func WithDriftWindow(n int) ShardedOption { return func(c *shardedConfig) { c.wi
 
 // WithCompactThreshold sets the per-shard write-buffer size (inserts plus
 // tombstones) at which the buffer is compacted into the shard's index
-// (default 1024).
+// (default 1024). A compaction folds the buffer into a copy of the index
+// with the paper's insert and delete (§6.7); only drift relearns a layout.
 func WithCompactThreshold(n int) ShardedOption {
 	return func(c *shardedConfig) { c.compactThreshold = n }
 }
@@ -444,7 +445,7 @@ func (s *Sharded) buildShards(plan *shard.Plan, window []Rect, epoch int, seed b
 			continue
 		}
 		shardQs := intersectingQueries(window, geom.RectFromPoints(group))
-		idx, err := s.buildShardIndex(group, shardQs, epoch, i, 0)
+		idx, err := s.buildShardIndex(nil, group, shardQs, epoch, i, 0)
 		if err != nil {
 			discardShards(snap.shards)
 			return nil, fmt.Errorf("wazi: building shard %d: %w", i, err)
@@ -459,19 +460,23 @@ func (s *Sharded) buildShards(plan *shard.Plan, window []Rect, epoch int, seed b
 }
 
 // buildShardIndex builds shard i's generation-gen index under plan epoch
-// epoch, workload-aware when the shard has an anticipated workload. Under
-// disk storage its pages go to the shard's page file, which a failed build
-// (a failed page-file creation) does not leave behind.
-func (s *Sharded) buildShardIndex(pts []Point, queries []Rect, epoch, i, gen int) (*Index, error) {
+// epoch: a fold of from (foldShard) if set, else a layout learned over pts,
+// workload-aware when the shard has an anticipated workload. Under disk
+// storage its pages go to the shard's page file, which a failed build (a
+// failed page-file creation) does not leave behind.
+func (s *Sharded) buildShardIndex(from *shardSnap, pts []Point, queries []Rect, epoch, i, gen int) (*Index, error) {
 	opts, path := s.opts.indexOpts, filepath.Join(s.opts.storageDir, shardPageFile(epoch, i, gen))
 	if s.opts.storageDir != "" {
 		opts = append(slices.Clone(opts), WithStorage(Storage{Path: path, CachePages: s.opts.cachePages}))
 	}
 	var idx *Index
 	var err error
-	if len(queries) > 0 {
+	switch {
+	case from != nil:
+		idx, err = foldShard(from, buildOptions(opts))
+	case len(queries) > 0:
 		idx, err = NewWorkloadAware(pts, queries, opts...)
-	} else {
+	default:
 		idx, err = New(pts, opts...)
 	}
 	if err != nil {
@@ -867,7 +872,7 @@ func (s *Sharded) commitWrite(snap *shardedSnapshot, i int, ns *shardSnap, p Poi
 		if background {
 			s.kick()
 		} else {
-			s.rebuildShard(i)
+			s.rebuildShard(i, false)
 		}
 	}
 }
@@ -926,7 +931,7 @@ func (s *Sharded) CheckRebuilds() int {
 			drifted = a.RebuildRecommended()
 		}
 		if drifted || ss.backlog() >= s.opts.compactThreshold {
-			if s.rebuildShard(i) {
+			if s.rebuildShard(i, drifted) {
 				n++
 			}
 		}
@@ -934,18 +939,18 @@ func (s *Sharded) CheckRebuilds() int {
 	return n
 }
 
-// rebuildShard rebuilds shard i from its current live points with the
-// recently observed queries as the anticipated workload, then swaps the
-// result in. Reports whether a swap happened.
+// rebuildShard rebuilds shard i, relearning it on the recently observed
+// queries when relearn is set and otherwise folding its delta (see
+// rebuildFrom), then swaps the result in. Reports whether a swap happened.
 //
 // Rebuilds and repartitions exclude each other: a rebuild never starts
 // while a migration is in flight (checked in captureShard), and a migration
 // never starts while any shard is rebuilding (checked in beginMigration).
 // Both flags are guarded by s.mu, so the snapshot's plan/ctls pairing
 // cannot change between the capture and the swap.
-func (s *Sharded) rebuildShard(i int) bool {
+func (s *Sharded) rebuildShard(i int, relearn bool) bool {
 	snap, ok := s.captureShard(i)
-	return ok && s.rebuildFrom(snap, i)
+	return ok && s.rebuildFrom(snap, i, relearn)
 }
 
 // captureShard marks shard i rebuilding and returns the snapshot the
@@ -966,26 +971,33 @@ func (s *Sharded) captureShard(i int) (*shardedSnapshot, bool) {
 }
 
 // rebuildFrom builds shard i's next index from the shard's state in snap,
-// the capture, and swaps it in. Readers are never blocked: the build runs
-// without locks, and at the swap the writes that landed meanwhile become
-// the new index's delta (rebase), which needs no page I/O.
-func (s *Sharded) rebuildFrom(snap *shardedSnapshot, i int) bool {
+// the capture, and swaps it in: unless relearn is set, an index that
+// outlives its tombstones folds the delta (foldShard). Readers are never
+// blocked: the build runs without locks, and at the swap the writes that
+// landed meanwhile become the new index's delta (rebase), which needs no
+// page I/O.
+func (s *Sharded) rebuildFrom(snap *shardedSnapshot, i int, relearn bool) bool {
 	rebuildStart := time.Now()
 	ctl, ss := snap.ctls[i], snap.shards[i]
 	recent := ctl.recent.snapshot()
 	gen := ctl.gen
 
-	// Materialize outside the mutex: every captured structure is immutable
+	// Build outside the mutex: every captured structure is immutable
 	// copy-on-write, and for a disk-backed shard this reads all of its
 	// pages — holding s.mu across that scan would stall every writer for
 	// the duration.
-	pts, _ := foldable(materialize(ss))
+	var pts []Point
+	from := ss // the fold's source, nil for a relearn over pts
+	if relearn || ss.idx == nil || ss.idx.Len() <= ss.dead.size() {
+		from = nil
+		pts, _ = foldable(materialize(ss))
+	}
 
 	// The shard's next state, private until the swap: a shard emptied before
 	// the rebuild gets no index.
 	ns := &shardSnap{empty: true}
-	if len(pts) > 0 {
-		idx, err := s.buildShardIndex(pts, recent, snap.epoch, i, gen+1)
+	if from != nil || len(pts) > 0 {
+		idx, err := s.buildShardIndex(from, pts, recent, snap.epoch, i, gen+1)
 		if err != nil {
 			// Unreachable for non-empty pts on the RAM backend; under disk
 			// storage a failed page-file creation lands here. Fail safe by
@@ -995,7 +1007,7 @@ func (s *Sharded) rebuildFrom(snap *shardedSnapshot, i int) bool {
 			s.mu.Unlock()
 			return false
 		}
-		ns = &shardSnap{idx: idx, bounds: idx.Bounds(), occ: buildOccupancy(pts, idx.Bounds())}
+		ns = &shardSnap{idx: idx, bounds: idx.Bounds(), occ: buildOccupancy(idx.Points(), idx.Bounds())}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1010,8 +1022,10 @@ func (s *Sharded) rebuildFrom(snap *shardedSnapshot, i int) bool {
 	}
 	if ns.idx != nil {
 		ctl.gen = gen + 1
-		// The recent window becomes the new drift baseline.
-		ctl.advisor.Store(NewRebuildAdvisor(ns.idx.Bounds(), recent, s.opts.windowSize, s.opts.driftThreshold))
+		if from == nil { // a fold keeps the layout and the baseline it was learned on
+			// The recent window becomes the new drift baseline.
+			ctl.advisor.Store(NewRebuildAdvisor(ns.idx.Bounds(), recent, s.opts.windowSize, s.opts.driftThreshold))
+		}
 	} else {
 		ctl.advisor.Store(nil)
 	}
@@ -1022,6 +1036,44 @@ func (s *Sharded) rebuildFrom(snap *shardedSnapshot, i int) bool {
 		s.obs.Rebuild.ObserveSince(rebuildStart)
 	}
 	return true
+}
+
+// foldShard copies ss's index into the store that o, a shard build's
+// options, selects and applies ss's delta to the copy with the paper's
+// update path: deletes first, which drop the first tombstoned copies in leaf
+// order as dropDead does, then the finite inserts. The copy then holds
+// foldable(materialize(ss)) exactly, bits included.
+func foldShard(ss *shardSnap, o core.Options) (*Index, error) {
+	src := ss.idx.z.Options()
+	src.Store, src.StoragePath, src.StorageCachePages = nil, o.StoragePath, o.StorageCachePages
+	st, err := src.OpenStore()
+	if err != nil {
+		return nil, err
+	}
+	z := ss.idx.z.CopyTo(st)
+	for j, p := range ss.dead.pts {
+		if p.X != 0 && p.Y != 0 {
+			z.Delete(p)
+			continue
+		}
+		// Only at ±0 can copies equal under == differ in bits: once per value,
+		// all go and those dropDead keeps (after the first c in leaf order) come back.
+		if c, last := ss.dead.count(p); last == j {
+			copies := ss.idx.RangeQuery(pointRect(p))
+			for range copies {
+				z.Delete(p)
+			}
+			for _, q := range copies[c:] {
+				z.Insert(q)
+			}
+		}
+	}
+	for _, p := range ss.extra.pts {
+		if p.Finite() {
+			z.Insert(p)
+		}
+	}
+	return &Index{z: z}, nil
 }
 
 // materialize flattens a shard snapshot into its live point set.
@@ -1093,8 +1145,9 @@ func (s *Sharded) DropCaches() {
 	}
 }
 
-// Rebuilds returns how many shard rebuilds (drift or compaction) have
-// completed since construction.
+// Rebuilds returns how many shard rebuilds have completed since
+// construction: compactions, which fold a shard's write buffer into its
+// index, and drift rebuilds, which relearn the shard's layout.
 func (s *Sharded) Rebuilds() int64 { return s.rebuilds.Load() }
 
 // Repartitions returns how many plan migrations have completed since

@@ -192,8 +192,9 @@ func TestShardDeltaMatchesBrute(t *testing.T) {
 
 // FuzzShardDelta is an op-byte state machine over one Sharded and a brute
 // force copy: each byte inserts or deletes a pool point, captures the
-// point's shard for a rebuild, or rebuilds, which folds a delta into a fresh
-// index. A rebuild runs from the held capture if there is one, rebasing the
+// point's shard for a rebuild, or rebuilds, which folds the delta into a
+// copy of the index or, when the byte's bit 5 is set, relearns the index.
+// A rebuild runs from the held capture if there is one, rebasing the
 // writes since it, and otherwise from the shard's current state. Every read
 // is checked after every op.
 func FuzzShardDelta(f *testing.F) {
@@ -211,6 +212,7 @@ func FuzzShardDelta(f *testing.F) {
 		heldShard := 0
 		for i, op := range ops[:min(len(ops), 128)] {
 			p := pool[int(op>>3)%len(pool)]
+			relearn := op>>5&1 == 1
 			switch {
 			case op%8 < 4:
 				s.Insert(p)
@@ -225,13 +227,13 @@ func FuzzShardDelta(f *testing.F) {
 					held, _ = s.captureShard(heldShard)
 				}
 			case held != nil:
-				if !s.rebuildFrom(held, heldShard) {
+				if !s.rebuildFrom(held, heldShard, relearn) {
 					t.Fatalf("op %d: the rebuild from the held capture did not swap", i)
 				}
 				held = nil
 				checkRebased(t, s, "op "+strconv.Itoa(i))
 			default:
-				s.rebuildShard(s.ShardOf(p))
+				s.rebuildShard(s.ShardOf(p), relearn)
 				checkRebased(t, s, "op "+strconv.Itoa(i))
 			}
 			checkDelta(t, s, ref, rects, []Point{p}, "op "+strconv.Itoa(i))
@@ -257,7 +259,8 @@ func checkRebased(t testing.TB, s *Sharded, ctx string) {
 }
 
 // TestShardRebase captures each shard in turn, writes from the pool while
-// the capture is held, rebuilds the shard from the capture, and checks
+// the capture is held, rebuilds the shard from the capture (folding on even
+// shards, relearning on odd ones), and checks
 // reads against brute force and the rebased delta's invariants. The writes
 // cover coincident copies, both zeros, the infinities and NaN, buffered
 // inserts of the capture cancelled after it, and tombstones of indexed
@@ -279,7 +282,7 @@ func TestShardRebase(t *testing.T) {
 		if ss := s.snap.Load().shards[i]; ss == snap.shards[i] {
 			t.Fatalf("shard %d: no write landed while the capture was held", i)
 		}
-		if !s.rebuildFrom(snap, i) {
+		if !s.rebuildFrom(snap, i, i%2 == 1) {
 			t.Fatalf("shard %d: the rebuild did not swap", i)
 		}
 		ctx := "shard " + strconv.Itoa(i)
@@ -303,7 +306,7 @@ func TestShardedNonFiniteNeverIndexed(t *testing.T) {
 		for _, r := range deltaRects(rand.New(rand.NewSource(3)), 40) {
 			s.RangeQuery(r) // the rebuild learns from these
 		}
-		if !s.rebuildShard(s.ShardOf(p)) {
+		if !s.rebuildShard(s.ShardOf(p), true) {
 			t.Fatalf("%v: the rebuild did not swap", p)
 		}
 		want := len(pts) + geom.CountInside([]Point{p}, everywhere)
@@ -322,21 +325,23 @@ func TestShardedNonFiniteNeverIndexed(t *testing.T) {
 // a buffered (0.3, +0) cancelled and inserted again as (0.3, −0) while a
 // rebuild runs comes out of it as −0, as the serving state held it.
 func TestShardRebaseKeepsBits(t *testing.T) {
-	s := deltaSharded(t, fuzzPoints(300, 91), 1)
-	pos, neg := Point{X: 0.3, Y: 0}, Point{X: 0.3, Y: math.Copysign(0, -1)}
-	s.Insert(pos)
-	snap, _ := s.captureShard(0)
-	if !s.Delete(neg) {
-		t.Fatal("the delete of (0.3, −0) did not cancel the buffered (0.3, +0)")
+	for _, relearn := range []bool{false, true} {
+		s := deltaSharded(t, fuzzPoints(300, 91), 1)
+		pos, neg := Point{X: 0.3, Y: 0}, Point{X: 0.3, Y: math.Copysign(0, -1)}
+		s.Insert(pos)
+		snap, _ := s.captureShard(0)
+		if !s.Delete(neg) {
+			t.Fatal("the delete of (0.3, −0) did not cancel the buffered (0.3, +0)")
+		}
+		s.Insert(neg)
+		if !s.rebuildFrom(snap, 0, relearn) {
+			t.Fatal("the rebuild did not swap")
+		}
+		if got := s.RangeQuery(pointRect(pos)); len(got) != 1 || !math.Signbit(got[0].Y) {
+			t.Fatalf("relearn %v: after the rebuild the shard serves %v, want only (0.3, −0)", relearn, got)
+		}
+		checkRebased(t, s, "rebuilt")
 	}
-	s.Insert(neg)
-	if !s.rebuildFrom(snap, 0) {
-		t.Fatal("the rebuild did not swap")
-	}
-	if got := s.RangeQuery(pointRect(pos)); len(got) != 1 || !math.Signbit(got[0].Y) {
-		t.Fatalf("after the rebuild the shard serves %v, want only (0.3, −0)", got)
-	}
-	checkRebased(t, s, "rebuilt")
 }
 
 // TestShardMigrationRebase migrates to a plan learned from a shifted

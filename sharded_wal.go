@@ -179,7 +179,7 @@ type WALStats struct {
 	DurableSeq uint64 `json:"durable_seq"`
 	// RecoveredRecords / RecoveredSeq describe the startup replay: how many
 	// records were applied past the snapshot's cut and the log's last valid
-	// sequence number. RecoveredTorn reports a torn tail was discarded.
+	// sequence number. RecoveredTorn reports that opening it met a torn tail.
 	RecoveredRecords int    `json:"recovered_records"`
 	RecoveredSeq     uint64 `json:"recovered_seq"`
 	RecoveredTorn    bool   `json:"recovered_torn"`
@@ -207,7 +207,7 @@ func (s *Sharded) WALStats() WALStats {
 		DurableSeq:       st.DurableSeq,
 		RecoveredRecords: s.walRecovered.Records,
 		RecoveredSeq:     s.walRecovered.LastSeq,
-		RecoveredTorn:    s.walRecovered.Torn,
+		RecoveredTorn:    st.Torn,
 	}
 	if st.Err != nil {
 		out.Err = st.Err.Error()

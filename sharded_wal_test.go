@@ -84,6 +84,40 @@ func TestWALColdRestartRecoversWrites(t *testing.T) {
 	}
 }
 
+// TestWALRestartReportsTornTail: a restart over a log whose last record was
+// torn mid-append reports RecoveredTorn and replays the records before it;
+// the restart after that, over a clean log, does not.
+func TestWALRestartReportsTornTail(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	base := walTestPoints(300, 5)
+	s := buildWALSharded(t, base, dir)
+	for i := range 10 {
+		s.Insert(Point{X: float64(i), Y: 50})
+	}
+	s.Close()
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("globbing segments: %v (%d found)", err, len(segs))
+	}
+	last := segs[len(segs)-1]
+	fi, err := os.Stat(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(last, fi.Size()-5); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []WALStats{{RecoveredRecords: 9, RecoveredTorn: true}, {RecoveredRecords: 9}} {
+		r := buildWALSharded(t, base, dir)
+		st := r.WALStats()
+		r.Close()
+		if st.RecoveredRecords != want.RecoveredRecords || st.RecoveredTorn != want.RecoveredTorn {
+			t.Fatalf("restart recovered %d records, torn %v; want %d, torn %v",
+				st.RecoveredRecords, st.RecoveredTorn, want.RecoveredRecords, want.RecoveredTorn)
+		}
+	}
+}
+
 // TestWALReplayFailureReleasesRebuiltShards: a log that overflows one
 // shard's buffer rebuilds that shard while it replays, so a replay that then
 // fails must unwind through the live snapshot and the retired stores — the

@@ -291,8 +291,7 @@ func WithDriftWindow(n int) ShardedOption { return func(c *shardedConfig) { c.wi
 
 // WithCompactThreshold sets the per-shard write-buffer size (inserts plus
 // tombstones) at which the buffer is compacted into the shard's index
-// (default 1024). A compaction folds the buffer into a copy of the index
-// with the paper's insert and delete (§6.7); only drift relearns a layout.
+// (default 1024), by folding it into a copy of the index (§6.7's updates).
 func WithCompactThreshold(n int) ShardedOption {
 	return func(c *shardedConfig) { c.compactThreshold = n }
 }
@@ -974,8 +973,7 @@ func (s *Sharded) captureShard(i int) (*shardedSnapshot, bool) {
 // the capture, and swaps it in: unless relearn is set, an index that
 // outlives its tombstones folds the delta (foldShard). Readers are never
 // blocked: the build runs without locks, and at the swap the writes that
-// landed meanwhile become the new index's delta (rebase), which needs no
-// page I/O.
+// landed meanwhile become the new index's delta (rebase), with no page I/O.
 func (s *Sharded) rebuildFrom(snap *shardedSnapshot, i int, relearn bool) bool {
 	rebuildStart := time.Now()
 	ctl, ss := snap.ctls[i], snap.shards[i]
@@ -1007,7 +1005,10 @@ func (s *Sharded) rebuildFrom(snap *shardedSnapshot, i int, relearn bool) bool {
 			s.mu.Unlock()
 			return false
 		}
-		ns = &shardSnap{idx: idx, bounds: idx.Bounds(), occ: buildOccupancy(idx.Points(), idx.Bounds())}
+		if from != nil {
+			pts = idx.Points()
+		}
+		ns = &shardSnap{idx: idx, bounds: idx.Bounds(), occ: buildOccupancy(pts, idx.Bounds())}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1022,8 +1023,7 @@ func (s *Sharded) rebuildFrom(snap *shardedSnapshot, i int, relearn bool) bool {
 	}
 	if ns.idx != nil {
 		ctl.gen = gen + 1
-		if from == nil { // a fold keeps the layout and the baseline it was learned on
-			// The recent window becomes the new drift baseline.
+		if from == nil { // the recent window becomes the drift baseline; a fold keeps the old
 			ctl.advisor.Store(NewRebuildAdvisor(ns.idx.Bounds(), recent, s.opts.windowSize, s.opts.driftThreshold))
 		}
 	} else {
